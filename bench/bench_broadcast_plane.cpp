@@ -23,10 +23,10 @@
 //  4. PoolIdentity/shape:k — the contract row: on every E12 shape, for
 //     shards in {0, 1, 2, 3, 8}, the pooled run is bit-identical to the
 //     pre-pool path (Notary fingerprint, full SimMetrics, decision times,
-//     end time), and fingerprints/decisions agree across all shard counts.
+//     end time), and the whole report agrees across all shard counts.
 //
-//  5. BarrierProfile — the barrier-replay profile: where a sharded window's
-//     wall-clock goes (parallel drain vs. the serialized merge/replay/reset
+//  5. BarrierProfile — the window profile: where a sharded window's
+//     wall-clock goes (parallel drain vs. the serialized merge/reset
 //     barrier phases), per shard, via NetworkConfig::shard_timing.
 #include "bench_common.hpp"
 
@@ -259,48 +259,34 @@ void BM_PoolIdentity(benchmark::State& state) {
   for (auto _ : state) {
     for (core::ProtocolKind protocol :
          {core::ProtocolKind::kStellarSd, core::ProtocolKind::kBftCup}) {
-      core::ScenarioReport first_legacy;
-      bool have_first = false;
-      core::ScenarioReport windowed_base;
-      bool have_windowed = false;
+      core::ScenarioReport base;
+      bool have_base = false;
       for (std::size_t shards : {0u, 1u, 2u, 3u, 8u}) {
         core::ScenarioConfig cfg = e12_shape(shape, protocol, 3);
         cfg.shards = shards;
         cfg.net.message_pool = false;
-        const core::ScenarioReport legacy = core::run_scenario(cfg);
+        const core::ScenarioReport plain = core::run_scenario(cfg);
         cfg.net.message_pool = true;
         const core::ScenarioReport pooled = core::run_scenario(cfg);
         // Pool on vs. off at the same shard count: bit-identical report.
-        if (!legacy.all_decided ||
-            pooled.notary_fingerprint != legacy.notary_fingerprint ||
-            !(pooled.metrics == legacy.metrics) ||
-            pooled.decision_times != legacy.decision_times ||
-            pooled.end_time != legacy.end_time) {
+        if (!plain.all_decided ||
+            pooled.notary_fingerprint != plain.notary_fingerprint ||
+            !(pooled.metrics == plain.metrics) ||
+            pooled.decision_times != plain.decision_times ||
+            pooled.end_time != plain.end_time) {
           state.SkipWithError("pool on/off identity violated");
           return;
         }
-        // Across shard counts: fingerprints and decisions always agree;
-        // full metrics agree across the windowed engine's counts (the
-        // legacy loop's ShardStats-adjacent counters are compared by the
-        // E12/E14 suites).
-        if (!have_first) {
-          first_legacy = legacy;
-          have_first = true;
-        } else if (legacy.notary_fingerprint !=
-                       first_legacy.notary_fingerprint ||
-                   legacy.decision_times != first_legacy.decision_times ||
-                   legacy.end_time != first_legacy.end_time) {
+        // Across shard counts: the same report again.
+        if (!have_base) {
+          base = plain;
+          have_base = true;
+        } else if (plain.notary_fingerprint != base.notary_fingerprint ||
+                   !(plain.metrics == base.metrics) ||
+                   plain.decision_times != base.decision_times ||
+                   plain.end_time != base.end_time) {
           state.SkipWithError("shard-count identity violated");
           return;
-        }
-        if (shards >= 1) {
-          if (!have_windowed) {
-            windowed_base = legacy;
-            have_windowed = true;
-          } else if (!(legacy.metrics == windowed_base.metrics)) {
-            state.SkipWithError("windowed metrics identity violated");
-            return;
-          }
         }
         checks += 2;
       }
@@ -316,7 +302,7 @@ BENCHMARK(BM_PoolIdentity)
     ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
-// ---- 5. barrier-replay profile: where the window wall-clock goes -----------
+// ---- 5. window profile: where the window wall-clock goes -------------------
 
 struct ProfileMsg final : sim::Message {
   explicit ProfileMsg(std::uint64_t p) : payload(p) {}
@@ -384,7 +370,6 @@ void BM_BarrierProfile(benchmark::State& state) {
   state.counters["windows"] = static_cast<double>(stats.windows);
   state.counters["window_ms"] = ms(stats.window_ns);
   state.counters["merge_ms"] = ms(stats.merge_ns);
-  state.counters["replay_ms"] = ms(stats.replay_ns);
   state.counters["reset_ms"] = ms(stats.reset_ns);
   state.counters["drain_ms"] = ms(stats.drain_ns);
   for (std::size_t s = 0; s < stats.shard_drain_ns.size(); ++s) {

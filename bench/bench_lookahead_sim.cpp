@@ -1,12 +1,11 @@
 // E15: lookahead windows. Three claims, one bench binary:
 //
-//  1. Window schedule (BM_Het / BM_WindowRatio): on a heterogeneous
-//     topology — slow 6-tick base links with fast 1-tick intra-shard
-//     lanes — per-pair lookahead must run at least 2x fewer (and 2x
-//     wider) conservative windows than the pre-lookahead global-min
-//     floor, at bit-identical results. Rows report windows, average
-//     window width, and the send-time verdict counters (inline_verdicts,
-//     provisional_sends) that prove the RNG work moved off the barrier.
+//  1. Window schedule (BM_Het): on a heterogeneous topology — slow 6-tick
+//     base links with fast 1-tick intra-shard lanes — per-pair lookahead
+//     keeps the 6-tick cross-shard window floor at shards:2, while at
+//     shards:8 the fast lanes cross shards and the floor drops to 1 tick.
+//     Rows report windows, average window width and the cross-shard
+//     effects held for the barrier (staged_ops).
 //  2. Identity (BM_LookaheadIdentity): the full feature set (het links,
 //     a partition window, pre-GST loss + duplication) at shard counts
 //     {0, 1, 2, 3, 8} must produce bit-identical metrics and Notary
@@ -73,15 +72,13 @@ class HetNode : public sim::Process {
 
 /// Slow base links (min 6) with fast (id -> id+2) lanes (min 1). Under an
 /// even/odd shard split the fast lanes never cross shards, so the per-pair
-/// window floor stays at 6 while the global min collapses to 1.
-sim::NetworkConfig het_net(std::size_t n, std::uint64_t seed,
-                           bool global_min) {
+/// window floor stays at 6 although the global min is 1.
+sim::NetworkConfig het_net(std::size_t n, std::uint64_t seed) {
   sim::NetworkConfig net;
   net.gst = 0;
   net.min_delay = 6;
   net.max_delay = 12;
   net.seed = seed;
-  net.lookahead_global_min = global_min;
   for (ProcessId i = 0; i < n; ++i) {
     net.link_overrides.push_back(
         {i, static_cast<ProcessId>((i + 2) % n), 1, 3});
@@ -121,19 +118,14 @@ void report_stats(benchmark::State& state, const sim::ShardStats& stats) {
       stats.windows == 0 ? 0.0
                          : static_cast<double>(stats.window_width_sum) /
                                static_cast<double>(stats.windows);
-  state.counters["inline_verdicts"] =
-      static_cast<double>(stats.inline_verdicts);
-  state.counters["provisional_sends"] =
-      static_cast<double>(stats.provisional_sends);
   state.counters["staged_ops"] = static_cast<double>(stats.staged_ops);
 }
 
 void BM_Het(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
-  const bool global_min = state.range(2) != 0;
   const SimTime horizon = 4'000;
-  const sim::NetworkConfig net = het_net(n, 99, global_min);
+  const sim::NetworkConfig net = het_net(n, 99);
   std::size_t events = 0;
   sim::ShardStats stats;
   for (auto _ : state) {
@@ -146,62 +138,21 @@ void BM_Het(benchmark::State& state) {
   report_stats(state, stats);
 }
 BENCHMARK(BM_Het)
-    ->ArgNames({"n", "shards", "globalmin"})
-    ->Args({256, 2, 0})
-    ->Args({256, 2, 1})
-    ->Args({256, 8, 0})
-    ->Args({256, 8, 1})
-    ->Args({1'024, 8, 0})
-    ->Args({1'024, 8, 1})
+    ->ArgNames({"n", "shards"})
+    ->Args({256, 2})
+    ->Args({256, 8})
+    ->Args({1'024, 8})
     // Wall-clock rates: with pool threads doing the work, a CPU-time rate
     // would only meter the coordinating thread and overstate throughput.
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
-void BM_WindowRatio(benchmark::State& state) {
-  // The headline A/B, self-checking: per-pair lookahead vs the global-min
-  // floor must agree bit for bit AND run at least 2x fewer windows (2x
-  // wider on average) on the heterogeneous plane.
-  const std::size_t n = 256;
-  const SimTime horizon = 4'000;
-  double window_ratio = 0;
-  double width_ratio = 0;
-  sim::ShardStats wide_stats;
-  for (auto _ : state) {
-    const HetResult wide = run_het(n, 2, het_net(n, 7, false), horizon);
-    const HetResult narrow = run_het(n, 2, het_net(n, 7, true), horizon);
-    if (!(wide.metrics == narrow.metrics) ||
-        wide.fingerprint != narrow.fingerprint ||
-        wide.digest != narrow.digest) {
-      state.SkipWithError("global-min vs per-pair identity violated");
-      return;
-    }
-    if (wide.stats.windows == 0 ||
-        narrow.stats.windows < 2 * wide.stats.windows) {
-      state.SkipWithError("per-pair lookahead did not halve the windows");
-      return;
-    }
-    window_ratio = static_cast<double>(narrow.stats.windows) /
-                   static_cast<double>(wide.stats.windows);
-    width_ratio = (static_cast<double>(wide.stats.window_width_sum) /
-                   static_cast<double>(wide.stats.windows)) /
-                  (static_cast<double>(narrow.stats.window_width_sum) /
-                   static_cast<double>(narrow.stats.windows));
-    wide_stats = wide.stats;
-  }
-  state.counters["window_ratio"] = window_ratio;
-  state.counters["width_ratio"] = width_ratio;
-  report_stats(state, wide_stats);
-}
-BENCHMARK(BM_WindowRatio)->Unit(benchmark::kMillisecond);
-
 void BM_LookaheadIdentity(benchmark::State& state) {
   // Full feature set — het links, a partition window, pre-GST loss and
-  // duplication (the four-draw plan) — at every shard count. run_for
-  // drains the same event set in all modes, so legacy participates.
+  // duplication (the four-draw plan) — at every shard count.
   const std::size_t n = 128;
   const SimTime horizon = 2'500;
-  sim::NetworkConfig net = het_net(n, 23, false);
+  sim::NetworkConfig net = het_net(n, 23);
   net.gst = 400;
   net.pre_gst_max_delay = 60;
   net.pre_gst_drop = 0.2;

@@ -1,13 +1,12 @@
-// E14: the sharded simulator. Serial-vs-sharded throughput of the windowed
-// engine on a sustained gossip plane with per-delivery protocol work, at
+// E14: the sharded simulator. Throughput of the windowed engine on a
+// sustained gossip plane with per-delivery protocol work, at
 // n in {512, 4096, 10000}:
-//  - Plane/n:*/shards:0 is the legacy serial loop (the baseline);
-//  - shards:1 is the windowed engine run on the calling thread (its pure
-//    bookkeeping overhead: pedigree keys, staged outboxes, barrier merge);
-//  - shards:8 adds real parallelism across the shard pool.
-// Rows report events/sec (items_per_second) plus the zero-copy event-plane
-// counters: staged ops, arena grow vs. wholesale-reuse counts (allocation
-// behaviour of the per-shard bump arenas), and batch upcall amortization.
+//  - Plane/n:*/shards:0 and shards:1 both run one shard on the calling
+//    thread (0 is the default selector; the rows must match);
+//  - shards:4 and shards:8 spread the plane over the shard pool.
+// Rows report events/sec (items_per_second) plus the event-plane
+// counters: windows, cross-shard effects held for the barrier (staged
+// ops), and batch upcall amortization.
 // Identity rows re-prove the engine's contract under bench conditions:
 // every shard count must produce bit-identical metrics and Notary
 // fingerprints, across the plane workload and the full E12 scenario-matrix
@@ -102,17 +101,14 @@ void BM_Plane(benchmark::State& state) {
       static_cast<double>(events) / static_cast<double>(state.iterations());
   state.counters["windows"] = static_cast<double>(stats.windows);
   state.counters["staged_ops"] = static_cast<double>(stats.staged_ops);
-  state.counters["arena_grown"] = static_cast<double>(stats.arena_grown);
-  state.counters["arena_reused"] = static_cast<double>(stats.arena_reused);
   state.counters["batch_upcalls"] = static_cast<double>(stats.batch_upcalls);
   state.counters["batched_messages"] =
       static_cast<double>(stats.batched_messages);
   if (stats.timing_enabled) {
-    // Barrier-replay breakdown (last run): parallel window execution vs.
-    // the three serialized barrier phases, in milliseconds.
+    // Window profile (last run): parallel window execution vs. the
+    // serialized barrier phases, in milliseconds.
     state.counters["window_ms"] = static_cast<double>(stats.window_ns) / 1e6;
     state.counters["merge_ms"] = static_cast<double>(stats.merge_ns) / 1e6;
-    state.counters["replay_ms"] = static_cast<double>(stats.replay_ns) / 1e6;
     state.counters["reset_ms"] = static_cast<double>(stats.reset_ns) / 1e6;
     state.counters["drain_ms"] = static_cast<double>(stats.drain_ns) / 1e6;
     for (std::size_t s = 0; s < stats.shard_drain_ns.size(); ++s) {
@@ -125,12 +121,15 @@ BENCHMARK(BM_Plane)
     ->ArgNames({"n", "shards"})
     ->Args({512, 0})
     ->Args({512, 1})
+    ->Args({512, 4})
     ->Args({512, 8})
     ->Args({4'096, 0})
     ->Args({4'096, 1})
+    ->Args({4'096, 4})
     ->Args({4'096, 8})
     ->Args({10'000, 0})
     ->Args({10'000, 1})
+    ->Args({10'000, 4})
     ->Args({10'000, 8})
     // Wall-clock rates: with pool threads doing the work, a CPU-time rate
     // would only meter the coordinating thread and overstate throughput.
@@ -139,8 +138,7 @@ BENCHMARK(BM_Plane)
 
 void BM_PlaneIdentity(benchmark::State& state) {
   // The determinism contract under bench conditions: metrics and node
-  // digests bit-identical for every shard count (legacy included —
-  // run_for drains the same event set in both modes).
+  // digests bit-identical for every shard count.
   const std::size_t n = 512;
   const SimTime horizon = 600;
   std::size_t checks = 0;
@@ -161,7 +159,7 @@ BENCHMARK(BM_PlaneIdentity)->Unit(benchmark::kMillisecond);
 
 void BM_MatrixIdentity(benchmark::State& state) {
   // Every E12 scenario-matrix shape (churn / +partition / +loss / +crash)
-  // x both protocols: the shards=2 report must equal the shards=1 windowed
+  // x both protocols: the shards=2 report must equal the shards=1
   // baseline bit for bit, Notary fingerprint included.
   std::size_t cells = 0;
   for (auto _ : state) {

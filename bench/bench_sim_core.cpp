@@ -122,8 +122,7 @@ BENCHMARK(BM_RunUntil_Stride)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
 struct EventLater {
   bool operator()(const sim::Event& a, const sim::Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
+    return b.key < a.key;
   }
 };
 
@@ -144,19 +143,19 @@ void queue_bench(benchmark::State& state, PushPop&& ops) {
 void BM_EventQueue_Calendar(benchmark::State& state) {
   queue_bench(state, [](Rng& rng, std::size_t in_flight, std::size_t ops) {
     sim::CalendarQueue queue;
-    std::uint64_t seq = 0;
+    std::uint64_t counter = 0;
     SimTime now = 0;
     for (std::size_t i = 0; i < in_flight; ++i) {
       sim::Event e;
-      e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
-      e.seq = seq++;
+      e.key = {now + 1 + static_cast<SimTime>(rng.uniform(200)), now,
+               1 + rng.uniform(64), counter++};
       queue.push(std::move(e));
     }
     for (std::size_t i = 0; i < ops; ++i) {
       sim::Event e = queue.pop();
-      now = e.time;
-      e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
-      e.seq = seq++;
+      now = e.key.time;
+      e.key = {now + 1 + static_cast<SimTime>(rng.uniform(200)), now,
+               1 + rng.uniform(64), counter++};
       queue.push(std::move(e));
     }
     benchmark::DoNotOptimize(now);
@@ -169,20 +168,20 @@ void BM_EventQueue_PriorityQueue(benchmark::State& state) {
   queue_bench(state, [](Rng& rng, std::size_t in_flight, std::size_t ops) {
     std::priority_queue<sim::Event, std::vector<sim::Event>, EventLater>
         queue;
-    std::uint64_t seq = 0;
+    std::uint64_t counter = 0;
     SimTime now = 0;
     for (std::size_t i = 0; i < in_flight; ++i) {
       sim::Event e;
-      e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
-      e.seq = seq++;
+      e.key = {now + 1 + static_cast<SimTime>(rng.uniform(200)), now,
+               1 + rng.uniform(64), counter++};
       queue.push(std::move(e));
     }
     for (std::size_t i = 0; i < ops; ++i) {
       sim::Event e = std::move(const_cast<sim::Event&>(queue.top()));
       queue.pop();
-      now = e.time;
-      e.time = now + 1 + static_cast<SimTime>(rng.uniform(200));
-      e.seq = seq++;
+      now = e.key.time;
+      e.key = {now + 1 + static_cast<SimTime>(rng.uniform(200)), now,
+               1 + rng.uniform(64), counter++};
       queue.push(std::move(e));
     }
     benchmark::DoNotOptimize(now);

@@ -11,9 +11,9 @@
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
 //
-// Pass --shards=N to run the simulation on the windowed sharded engine
-// (DESIGN.md §4.6) instead of the serial loop — the report is bit-identical
-// for every N >= 1, and the program verifies that against an N=1 run.
+// Pass --shards=N to spread the simulation over N engine shards
+// (DESIGN.md §4.6) — the report is bit-identical for every N, and the
+// program verifies that against a one-shard run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -24,7 +24,7 @@
 int main(int argc, char** argv) {
   using namespace scup;
 
-  std::size_t shards = 0;  // 0 = legacy serial loop
+  std::size_t shards = 0;  // 0 or 1: one shard on the calling thread
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--shards=", 9) == 0) {
       shards = static_cast<std::size_t>(std::strtoul(argv[i] + 9, nullptr, 10));
@@ -49,9 +49,8 @@ int main(int argc, char** argv) {
                 cfg.faulty.contains(i) ? "   <- Byzantine (silent)" : "");
   }
 
-  if (shards > 0) {
-    std::printf("\nRunning on the sharded engine with %zu shard%s.\n", shards,
-                shards == 1 ? "" : "s");
+  if (shards > 1) {
+    std::printf("\nRunning on the sharded engine with %zu shards.\n", shards);
   }
   const core::ScenarioReport report = core::run_scenario(cfg);
 

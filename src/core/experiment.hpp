@@ -51,8 +51,8 @@ struct ScenarioConfig {
   /// cup::DiscoveryConfig (0 = off). Required for liveness when
   /// net.pre_gst_drop > 0.
   SimTime discovery_requery = 0;
-  /// Simulator shard count (sim::Simulation::set_shards): 0 = legacy serial
-  /// loop, >= 1 = windowed sharded engine. Every shards >= 1 value yields a
+  /// Simulator shard count (sim::Simulation::set_shards); 0 and 1 both
+  /// mean one shard on the calling thread. Every value yields a
   /// bit-identical report (fingerprint, metrics, decisions).
   std::size_t shards = 0;
 };

@@ -1,24 +1,36 @@
-// The simulation's event queue: a two-tier indexed calendar queue.
+// The simulation's event queue: a two-tier indexed calendar queue ordered
+// by the engine's fixed-size event key.
 //
-// The simulator's old std::priority_queue paid O(log n) comparisons plus an
-// Event move-chain per push/pop. Delivery delays are small and bounded in
-// the common case (<= max_delay after GST, <= pre_gst_max_delay before), so
-// almost every event lands within a short horizon of the current time: a
-// ring of per-tick buckets turns push into an append and pop into a bitmap
-// scan. Events beyond the horizon (far timers, partition heals) overflow to
-// a std::priority_queue and migrate into the ring as the cursor advances.
+// Every event carries an EventKey (deliver_time, send_time, origin,
+// origin_counter), the lexicographic tie-breaking scheme of Rönngren &
+// Liljenstam ("On Event Ordering in Parallel Discrete Event Simulation",
+// PADS 1999). The scheduling shard computes it locally at send time: the
+// origin is the process whose dispatch scheduled the event (a timer's
+// origin is its own process) and the counter is that origin's private
+// scheduling count, so the key is total and needs no global sequence
+// number. Driver-side crash/activate events use the reserved engine
+// origin, which sorts before every process.
 //
-// The pop order is exactly the old one — globally sorted by (time, seq) —
-// so the queue swap is behavior-invisible:
-//  - a bucket holds only events of one timestamp (bucket width is one tick
-//    and the ring never spans more than kRingSize ticks), appended in seq
-//    order because seq increases monotonically and events are only pushed
-//    at times >= the cursor;
-//  - overflow migration drains the priority queue in (time, seq) order into
-//    empty-or-older buckets, and later direct pushes always carry larger
-//    seqs.
+// Delivery delays are small and bounded in the common case, so almost
+// every event lands within a short horizon of the current time: a ring of
+// per-tick buckets turns push into an append and pop into a bitmap scan.
+// Events beyond the horizon (far timers, partition heals) overflow to a
+// std::priority_queue and migrate into the ring as the cursor advances.
+//
+// Pops come out in exact key order even though same-tick events arrive
+// out of key order (barrier pushes from several shards, and dispatch
+// order at one tick differing from origin order): a bucket appends and
+// remembers whether it is still sorted, and is sorted once, lazily, when
+// its tick is first peeked or popped. A push into the bucket being drained
+// (zero-delay timers, zero-latency links) is inserted at its sorted
+// position among the events not yet popped.
+//
+// peek() and pop() share one scan: after a pop the rest of the cursor's
+// bucket is still the minimum, and a push only invalidates the cached
+// slot when it lands earlier.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -32,9 +44,33 @@ namespace scup::sim {
 
 enum class EventKind : std::uint8_t { kDeliver, kTimer, kActivate, kCrash };
 
+/// Origin of driver-side events (crash_at, deferred activation); sorts
+/// before every process origin.
+inline constexpr std::uint64_t kEngineOrigin = 0;
+
+/// Origin word of events scheduled by process `p`'s dispatch.
+inline constexpr std::uint64_t process_origin(ProcessId p) {
+  return std::uint64_t{p} + 1;
+}
+
+/// The total event order, compared lexicographically field by field.
+struct EventKey {
+  SimTime time = 0;  // delivery (or firing) tick
+  SimTime sent = 0;  // tick of the dispatch that scheduled the event
+  std::uint64_t origin = kEngineOrigin;
+  std::uint64_t counter = 0;  // the origin's scheduling count
+
+  friend bool operator==(const EventKey&, const EventKey&) = default;
+  friend bool operator<(const EventKey& a, const EventKey& b) {
+    if (a.time != b.time) return a.time < b.time;
+    if (a.sent != b.sent) return a.sent < b.sent;
+    if (a.origin != b.origin) return a.origin < b.origin;
+    return a.counter < b.counter;
+  }
+};
+
 struct Event {
-  SimTime time = 0;
-  std::uint64_t seq = 0;  // FIFO tie-break for determinism
+  EventKey key;
   EventKind kind = EventKind::kDeliver;
   ProcessId target = kInvalidProcess;
   // kDeliver
@@ -52,19 +88,20 @@ class CalendarQueue {
   /// beyond overflows to the priority-queue tier.
   static constexpr std::size_t kRingSize = 1024;
 
-  CalendarQueue() : ring_(kRingSize), heads_(kRingSize, 0) {
-    occupied_.fill(0);
-  }
+  CalendarQueue() : ring_(kRingSize) { occupied_.fill(0); }
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
-  /// Requires e.time >= the time of the last popped event (== the cursor;
-  /// the simulator only schedules at or after `now`).
+  /// Requires e.key.time >= the time of the last popped event (== the
+  /// cursor; the simulator only schedules at or after `now`). Keys may
+  /// arrive in any order.
   void push(Event e) {
     ++size_;
-    peeked_slot_ = kNoPeek;  // the new event may undercut the peeked one
-    if (e.time < cursor_ + static_cast<SimTime>(kRingSize)) {
+    if (peeked_slot_ != kNoPeek && e.key.time < time_of(peeked_slot_)) {
+      peeked_slot_ = kNoPeek;  // the new event undercuts the peeked bucket
+    }
+    if (e.key.time < cursor_ + static_cast<SimTime>(kRingSize)) {
       bucket_push(std::move(e));
     } else {
       overflow_.push(std::move(e));
@@ -76,12 +113,14 @@ class CalendarQueue {
   /// popped time (e.g. a crash scheduled between run calls). Requires
   /// !empty().
   SimTime next_time() {
-    if (ring_count_ == 0) return overflow_.top().time;
-    migrate_overflow();
-    // Ring events all lie in [cursor_, cursor_ + kRingSize) and, after
-    // migration, every overflow event lies at or beyond that horizon — so
-    // the earliest occupied bucket is the global minimum.
-    peeked_slot_ = next_occupied(slot_of(cursor_));
+    if (ring_count_ == 0) return overflow_.top().key.time;
+    if (peeked_slot_ == kNoPeek) {
+      migrate_overflow();
+      // Ring events all lie in [cursor_, cursor_ + kRingSize) and, after
+      // migration, every overflow event lies at or beyond that horizon —
+      // so the earliest occupied bucket is the global minimum.
+      peeked_slot_ = next_occupied(slot_of(cursor_));
+    }
     return time_of(peeked_slot_);
   }
 
@@ -95,8 +134,8 @@ class CalendarQueue {
       // beyond the horizon and the overflow top is the global minimum.
       return &overflow_.top();
     }
-    if (peeked_slot_ == kNoPeek) next_time();
-    return &ring_[peeked_slot_][heads_[peeked_slot_]];
+    next_time();
+    return &front(ring_[peeked_slot_]);
   }
 
   /// Pops the earliest event. Requires !empty().
@@ -111,39 +150,54 @@ class CalendarQueue {
         // Jump the cursor instead of scanning a (possibly huge) gap. Safe
         // to commit here: the popped event's time becomes the simulation's
         // `now`, the floor for every future push.
-        cursor_ = overflow_.top().time;
+        cursor_ = overflow_.top().key.time;
       }
       migrate_overflow();
       slot = next_occupied(slot_of(cursor_));
     }
-    peeked_slot_ = kNoPeek;
     cursor_ = time_of(slot);
-    std::vector<Event>& bucket = ring_[slot];
-    Event e = std::move(bucket[heads_[slot]++]);
-    if (heads_[slot] == bucket.size()) {
-      bucket.clear();  // keeps capacity for reuse
-      heads_[slot] = 0;
+    Bucket& bucket = ring_[slot];
+    Event e = std::move(front(bucket));
+    if (++bucket.head == bucket.events.size()) {
+      // Release the storage: the ring has 1024 buckets, and keeping each
+      // one's largest-ever capacity holds the run's worst bursts in memory.
+      std::vector<Event>().swap(bucket.events);
+      bucket.head = 0;
       occupied_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
       --ring_count_;
+      peeked_slot_ = kNoPeek;
+    } else {
+      // The rest of the cursor's bucket is still the global minimum.
+      peeked_slot_ = slot;
     }
     --size_;
     // Re-migrate against the advanced cursor before handing the event to
-    // its dispatch. This keeps the invariant that overflow events always
-    // lie at or beyond cursor_ + kRingSize *whenever a push can happen*:
-    // a push during dispatch therefore never shares a timestamp with a
-    // still-unmigrated (smaller-seq) overflow event, which is what keeps
-    // every bucket seq-sorted and the pop order exactly (time, seq).
+    // its dispatch, so overflow events always lie at or beyond
+    // cursor_ + kRingSize whenever a push can happen.
     migrate_overflow();
     return e;
   }
 
  private:
+  /// One tick's events. [head, end) are not yet popped; `sorted` says
+  /// whether that range is in key order, `sent_sorted` whether it is at
+  /// least ordered by send tick.
+  struct Bucket {
+    std::vector<Event> events;
+    std::size_t head = 0;
+    bool sorted = true;
+    bool sent_sorted = true;
+  };
+
   struct Later {
     bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
+      return b.key < a.key;
     }
   };
+
+  static bool by_key(const Event& a, const Event& b) {
+    return a.key < b.key;
+  }
 
   static std::size_t slot_of(SimTime t) {
     return static_cast<std::size_t>(t) & (kRingSize - 1);
@@ -156,21 +210,65 @@ class CalendarQueue {
                                           (kRingSize - 1));
   }
 
+  /// The bucket's smallest unpopped event, sorting the bucket first if an
+  /// out-of-order push left it unsorted.
+  static Event& front(Bucket& b) {
+    if (!b.sorted) sort(b);
+    return b.events[b.head];
+  }
+
+  /// Sorts the unpopped range of `b`. Pushes from one shard arrive in
+  /// send-tick order, so usually only the runs of equal send tick need
+  /// sorting — much cheaper than one sort over the whole bucket.
+  static void sort(Bucket& b) {
+    auto first = b.events.begin() + static_cast<std::ptrdiff_t>(b.head);
+    const auto last = b.events.end();
+    if (!b.sent_sorted) {
+      std::sort(first, last, by_key);
+    } else {
+      while (first != last) {
+        auto run_end = first + 1;
+        while (run_end != last && run_end->key.sent == first->key.sent) {
+          ++run_end;
+        }
+        std::sort(first, run_end, by_key);
+        first = run_end;
+      }
+    }
+    b.sorted = true;
+    b.sent_sorted = true;
+  }
+
   void bucket_push(Event e) {
-    const std::size_t slot = slot_of(e.time);
-    if (ring_[slot].empty()) {
+    const std::size_t slot = slot_of(e.key.time);
+    Bucket& b = ring_[slot];
+    if (b.events.empty()) {
       occupied_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
       ++ring_count_;
+      b.sorted = true;
+      b.sent_sorted = true;
+    } else if (e.key < b.events.back().key) {
+      if (b.head > 0 && b.sorted) {
+        // The bucket is being drained: insert among the unpopped events
+        // rather than re-sorting after every such push.
+        const auto pos = std::upper_bound(
+            b.events.begin() + static_cast<std::ptrdiff_t>(b.head),
+            b.events.end(), e, by_key);
+        b.events.insert(pos, std::move(e));
+        return;
+      }
+      b.sorted = false;
+      if (e.key.sent < b.events.back().key.sent) b.sent_sorted = false;
     }
-    ring_[slot].push_back(std::move(e));
+    b.events.push_back(std::move(e));
   }
 
   /// Moves every overflow event now inside the ring horizon into its
-  /// bucket. The priority queue yields them in (time, seq) order, so
-  /// buckets stay seq-sorted.
+  /// bucket.
   void migrate_overflow() {
     while (!overflow_.empty() &&
-           overflow_.top().time < cursor_ + static_cast<SimTime>(kRingSize)) {
+           overflow_.top().key.time <
+               cursor_ + static_cast<SimTime>(kRingSize)) {
       // std::priority_queue::top is const; the pop pattern matches the
       // move-out used by the simulator (the moved-from Event only needs to
       // be destructible).
@@ -199,8 +297,7 @@ class CalendarQueue {
 
   static constexpr std::size_t kNoPeek = kRingSize;
 
-  std::vector<std::vector<Event>> ring_;
-  std::vector<std::size_t> heads_;  // per-bucket consumed prefix
+  std::vector<Bucket> ring_;
   std::array<std::uint64_t, kRingSize / 64> occupied_{};
   SimTime cursor_ = 0;  // no queued event is earlier than this
   std::size_t ring_count_ = 0;  // occupied buckets

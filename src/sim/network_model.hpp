@@ -86,7 +86,7 @@ struct NetworkConfig {
   /// heal wins).
   std::vector<PartitionWindow> partitions;
 
-  // ---- sharded-engine lookahead knobs (ignored by the legacy loop) ----
+  // ---- engine lookahead knobs ----
 
   /// Spacing of the run_until predicate-checkpoint grid. Windows are
   /// clamped to multiples of this quantum and the predicate is evaluated
@@ -95,12 +95,6 @@ struct NetworkConfig {
   /// though window widths depend on the shard partition. 0 = auto: the
   /// model's base_min_latency(), floored at one tick.
   SimTime lookahead_quantum = 0;
-  /// Derive window widths from the global min_latency() floor instead of
-  /// the per-pair cross-shard latency matrix. This is the pre-lookahead
-  /// behaviour, kept selectable so the E15 bench can A/B the window
-  /// schedules; results are bit-identical either way, only the window
-  /// count changes.
-  bool lookahead_global_min = false;
 
   // ---- broadcast-plane knobs ----
 

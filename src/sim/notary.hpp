@@ -24,44 +24,34 @@ class Notary {
 
   Notary(std::size_t n, std::uint64_t seed);
 
-  /// Token binding `signer` to `statement`. Every call is appended to
-  /// log(), so the signing trace doubles as a protocol-behaviour
-  /// fingerprint for determinism checks.
+  /// Token binding `signer` to `statement`. Every call is appended to the
+  /// signer's own log, so the signing trace doubles as a protocol-behaviour
+  /// fingerprint for determinism checks. A process signs only as itself,
+  /// on its own shard and in its own event order, so each per-signer log
+  /// has a single writer and the same contents under every shard count.
   Token sign(ProcessId signer, std::uint64_t statement) const;
-
-  /// Pure token computation — no log append. The sharded engine computes
-  /// tokens inside a window and replays the log entries at the barrier (in
-  /// the deterministic merge order) via append(), so the combined effect is
-  /// exactly a serial sign() stream.
-  Token compute(ProcessId signer, std::uint64_t statement) const {
-    return token_for(signer, statement);
-  }
-
-  /// Barrier-side half of compute(): appends one entry to the sign log.
-  void append(ProcessId signer, std::uint64_t statement) const {
-    log_.emplace_back(signer, statement);
-  }
 
   /// Signature check; does not log (verification is a read).
   bool verify(ProcessId signer, std::uint64_t statement, Token token) const;
 
-  /// Order-sensitive hash of the sign log — the determinism fingerprint
-  /// the shard-invariance suites compare (cheaper to pin than the log).
+  /// Order-sensitive hash of the sign logs (signers in id order, each
+  /// signer's statements in signing order) — the determinism fingerprint
+  /// the shard-invariance suites compare (cheaper to pin than the logs).
   std::uint64_t fingerprint() const;
 
-  /// Every (signer, statement) pair signed so far, in order. Two runs of
-  /// the same seeded simulation must produce identical logs.
-  const std::vector<std::pair<ProcessId, std::uint64_t>>& log() const {
-    return log_;
-  }
+  /// Every (signer, statement) pair signed so far, grouped by signer in id
+  /// order, each signer's statements in signing order. Two runs of the
+  /// same seeded simulation must produce identical logs.
+  std::vector<std::pair<ProcessId, std::uint64_t>> log() const;
 
  private:
   Token token_for(ProcessId signer, std::uint64_t statement) const;
 
   std::vector<std::uint64_t> secrets_;
-  /// The log is observational state, not signature semantics; sign() stays
-  /// const for callers holding the simulation's const notary reference.
-  mutable std::vector<std::pair<ProcessId, std::uint64_t>> log_;
+  /// The logs are observational state, not signature semantics; sign()
+  /// stays const for callers holding the simulation's const notary
+  /// reference.
+  mutable std::vector<std::vector<std::uint64_t>> logs_;
 };
 
 }  // namespace scup::sim

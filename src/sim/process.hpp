@@ -15,9 +15,6 @@ class Simulation;
 struct Delivery {
   ProcessId from = kInvalidProcess;
   MessagePtr msg;
-  /// Engine bookkeeping handle identifying the underlying delivery event;
-  /// opaque to processes, forwarded through begin_delivery().
-  std::uint64_t cookie = 0;
 };
 
 /// A simulated process (participant). Subclasses implement protocol logic in
@@ -42,14 +39,12 @@ class Process {
   /// Invoked on message delivery. `from` is the authenticated sender id.
   virtual void on_message(ProcessId from, const MessagePtr& msg) = 0;
 
-  /// Invoked with every message the process receives in one simulated tick
-  /// (the sharded engine amortizes one upcall across the whole tick; the
-  /// legacy serial loop delivers one message at a time through
-  /// on_message). The default unpacks the batch in order through
-  /// on_message. Overrides MUST call begin_delivery(batch[i]) before
-  /// consuming delivery i, and MUST consume deliveries in index order —
-  /// the engine uses the call to attribute the handler's sends, timers and
-  /// signatures to the right event in the deterministic barrier merge.
+  /// Invoked with a run of consecutive deliveries the process receives at
+  /// one simulated tick, in event-key order (the engine amortizes one
+  /// upcall across the run). The default unpacks the batch in order
+  /// through on_message. Where a batch splits depends on the shard
+  /// partition, so an override must act as if it handled each delivery in
+  /// index order on its own — the engine attributes nothing to batches.
   virtual void on_messages(Delivery* batch, std::size_t count);
 
   /// Invoked when a timer armed with set_timer fires.
@@ -90,10 +85,6 @@ class Process {
   /// Adds to one of the simulation's protocol instrumentation counters
   /// (SimMetrics::protocol_counters).
   void counter_add(ProtoCounter counter, std::uint64_t delta);
-
-  /// Marks `d` as the delivery whose effects the caller is about to
-  /// produce (see on_messages). No-op outside sharded execution.
-  void begin_delivery(const Delivery& d);
 
  private:
   friend class Simulation;

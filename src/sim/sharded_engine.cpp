@@ -29,20 +29,9 @@ std::uint64_t mono_ns() {
 }  // namespace
 
 std::vector<SimTime> shard_window_widths(const NetworkModel& model,
-                                         std::size_t n, std::size_t shards,
-                                         bool global_min) {
+                                         std::size_t n, std::size_t shards) {
   if (shards == 0) {
     throw std::invalid_argument("shard_window_widths: shards must be >= 1");
-  }
-  if (global_min) {
-    const SimTime w = model.min_latency();
-    if (w < 1) {
-      throw std::invalid_argument(
-          "sharded execution with lookahead_global_min requires "
-          "NetworkModel::min_latency() >= 1 (the conservative window "
-          "width); this model reports " + std::to_string(w));
-    }
-    return std::vector<SimTime>(shards, w);
   }
   std::vector<SimTime> widths(shards, kTimeInfinity);
   std::vector<std::size_t> size(shards, 0);
@@ -93,14 +82,14 @@ std::vector<SimTime> shard_window_widths(const NetworkModel& model,
   return widths;
 }
 
+
 ShardEngine::ShardEngine(Simulation& sim, std::size_t shards)
     : sim_(sim),
       pool_(shards - 1),
-      w_out_(shard_window_widths(*sim.model_, sim.n_, shards,
-                                 sim.config_.lookahead_global_min)) {
+      w_out_(shard_window_widths(*sim.model_, sim.n_, shards)) {
   // Auto quantum: the base latency floor, not the global min_latency() —
   // the latter is dragged down by the fastest (possibly intra-shard) link,
-  // which is exactly the pessimization the per-pair lookahead removes.
+  // and the grid spacing must not depend on the partition.
   quantum_ = sim.config_.lookahead_quantum > 0
                  ? sim.config_.lookahead_quantum
                  : std::max<SimTime>(1, sim.model_->base_min_latency());
@@ -115,19 +104,26 @@ ShardEngine::ShardEngine(Simulation& sim, std::size_t shards)
 
 ShardContext* ShardEngine::current() { return tls_shard; }
 
-void ShardEngine::seed_from(CalendarQueue& queue) {
-  // Popping yields (time, seq) order, which is exactly the push order each
-  // shard queue requires.
-  while (!queue.empty()) {
-    Event e = queue.pop();
-    shards_[e.target % shards_.size()]->queue.push(std::move(e));
+void ShardEngine::schedule(ShardContext* ctx, Event e) {
+  // One shard skips the modulo: this runs once per send and timer.
+  ShardContext& owner = shards_.size() == 1
+                            ? *shards_[0]
+                            : *shards_[e.target % shards_.size()];
+  if (ctx == nullptr || ctx == &owner) {
+    owner.queue.push(std::move(e));
+    return;
   }
-}
-
-void ShardEngine::push_external(Event e) {
-  // Only legal between windows (the caller is the coordinating thread) and
-  // at e.time >= now_ >= every shard queue's cursor.
-  shards_[e.target % shards_.size()]->queue.push(std::move(e));
+  if (e.key.time < ctx->window_end) {
+    // Unreachable for honest models: a cross-shard verdict satisfies
+    // deliver_at >= send_time + min_latency(from, to) >= window_end by
+    // the window construction. Landing here means min_latency lied.
+    throw std::logic_error(
+        "NetworkModel delivered a cross-shard message inside the "
+        "conservative window; min_latency(from, to) must lower-bound "
+        "every verdict");
+  }
+  ctx->outbox.push_back(std::move(e));
+  ++ctx->stats.staged_ops;
 }
 
 SimTime ShardEngine::next_event_time() const {
@@ -148,7 +144,7 @@ bool ShardEngine::run_window(SimTime deadline, SimTime cap) {
   // [t_min, min_s(next_s + W_out(s))) is safe to drain in parallel.
   // Clamped to the caller's cap (run_until's checkpoint grid) and the
   // deadline. A shard with unbounded lookahead (no cross-shard pairs)
-  // never constrains the end; with shards == 1 that leaves only the
+  // never constrains the end; with one shard that leaves only the
   // clamps, i.e. the whole horizon is one window.
   SimTime end = kTimeInfinity;
   for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -157,11 +153,13 @@ bool ShardEngine::run_window(SimTime deadline, SimTime cap) {
     end = std::min(end, shards_[s]->queue.next_time() + w_out_[s]);
   }
   end = std::min(end, std::min(cap, deadline + 1));
-  window_end_ = end;
   width_sum_ += static_cast<std::uint64_t>(end - t_min);
-  for (auto& shard : shards_) shard->processed_any = false;
+  for (auto& shard : shards_) {
+    shard->window_end = end;
+    shard->processed_any = false;
+  }
   const std::uint64_t t0 = timing_ ? mono_ns() : 0;
-  pool_.run([this, end](std::size_t i) { drain(i, end); });
+  pool_.run([this](std::size_t i) { drain(i); });
   if (timing_) window_ns_ += mono_ns() - t0;
   ++windows_;
   commit_staged();
@@ -169,7 +167,7 @@ bool ShardEngine::run_window(SimTime deadline, SimTime cap) {
 }
 
 // scup-analyze: shard-entry(runs on every pool thread inside the window)
-void ShardEngine::drain(std::size_t shard_index, SimTime window_end) {
+void ShardEngine::drain(std::size_t shard_index) {
   ShardContext& ctx = *shards_[shard_index];
   tls_shard = &ctx;
   // Shard threads allocate messages too (handler sends inside the window),
@@ -180,46 +178,45 @@ void ShardEngine::drain(std::size_t shard_index, SimTime window_end) {
   try {
     while (!ctx.queue.empty()) {
       const Event* head = ctx.queue.peek();
-      if (head->time >= window_end) break;
-      if (head->kind == EventKind::kDeliver && sim_.deliverable(head->target)) {
-        // Pop the maximal run of consecutive deliveries to this target at
-        // this tick and hand them over as one upcall. A crash/activate (or
-        // a delivery for another process) interleaved in seq order breaks
-        // the run, so batching never reorders against serial execution.
-        const SimTime tick = head->time;
-        const ProcessId target = head->target;
-        ctx.batch.clear();
-        for (;;) {
-          Event e = ctx.queue.pop();
-          ctx.now = e.time;
-          ctx.last_time = e.time;
-          ctx.processed_any = true;
-          ctx.metrics.events_processed += 1;
-          Delivery d;
-          d.from = e.from;
-          d.msg = std::move(e.msg);
-          d.cookie = e.seq;
-          ctx.batch.push_back(std::move(d));
-          if (ctx.queue.empty()) break;
-          const Event* next = ctx.queue.peek();
-          if (next->time != tick || next->kind != EventKind::kDeliver ||
-              next->target != target) {
-            break;
-          }
-        }
-        ctx.stats.batch_upcalls += 1;
-        ctx.stats.batched_messages += ctx.batch.size();
-        sim_.processes_[target]->on_messages(ctx.batch.data(),
-                                             ctx.batch.size());
-      } else {
+      if (head->key.time >= ctx.window_end) break;
+      if (head->kind != EventKind::kDeliver ||
+          !sim_.deliverable(head->target)) {
         Event e = ctx.queue.pop();
-        ctx.now = e.time;
-        ctx.last_time = e.time;
+        ctx.now = e.key.time;
+        ctx.last_time = e.key.time;
         ctx.processed_any = true;
         ctx.metrics.events_processed += 1;
-        set_dispatch_key(ctx, e);
         sim_.dispatch(e, ctx.metrics);
+        continue;
       }
+      // Hand the run of consecutive deliveries to this target at this
+      // tick over as one upcall. Only deliveries scheduled at an earlier
+      // tick join a batch: whatever the upcall schedules for this tick
+      // sorts after all of them, so the batch is exactly what a
+      // one-at-a-time drain would pop next. A same-tick (zero-latency)
+      // delivery goes alone.
+      const SimTime tick = head->key.time;
+      const ProcessId target = head->target;
+      const bool extend = head->key.sent < tick;
+      ctx.batch.clear();
+      for (;;) {
+        Event e = ctx.queue.pop();
+        ctx.now = tick;
+        ctx.last_time = tick;
+        ctx.processed_any = true;
+        ctx.metrics.events_processed += 1;
+        ctx.batch.push_back(Delivery{e.from, std::move(e.msg)});
+        if (!extend || ctx.queue.empty()) break;
+        const Event* next = ctx.queue.peek();
+        if (next->key.time != tick || next->kind != EventKind::kDeliver ||
+            next->target != target || next->key.sent >= tick) {
+          break;
+        }
+      }
+      ctx.stats.batch_upcalls += 1;
+      ctx.stats.batched_messages += ctx.batch.size();
+      sim_.processes_[target]->on_messages(ctx.batch.data(),
+                                           ctx.batch.size());
     }
   } catch (...) {
     ctx.error = std::current_exception();
@@ -228,37 +225,9 @@ void ShardEngine::drain(std::size_t shard_index, SimTime window_end) {
   tls_shard = nullptr;
 }
 
-void ShardEngine::set_dispatch_key(ShardContext& ctx, const Event& e) {
-  ctx.current_key.clear();
-  ctx.current_key.push_back(static_cast<std::uint64_t>(e.time));
-  if (e.seq >= kTempSeqBase) {
-    // Provisional: D = [time, 1] ++ Q(scheduling key). Copy out of the
-    // arena now — later staging may reallocate it.
-    ctx.current_key.push_back(1);
-    const auto it = ctx.provisional_keys.find(e.seq);
-    const auto [off, len] = it->second;
-    ctx.current_key.insert(ctx.current_key.end(),
-                           ctx.key_arena.begin() + off,
-                           ctx.key_arena.begin() + off + len);
-    ctx.provisional_keys.erase(it);
-    ctx.stats.provisional_events += 1;
-  } else {
-    ctx.current_key.push_back(0);
-    ctx.current_key.push_back(e.seq);
-  }
-  ctx.intra = 0;
-}
-
-bool ShardEngine::key_less(const ShardContext& a, std::uint32_t a_off,
-                           std::uint32_t a_len, const ShardContext& b,
-                           std::uint32_t b_off, std::uint32_t b_len) const {
-  const std::uint64_t* ka = a.key_arena.data() + a_off;
-  const std::uint64_t* kb = b.key_arena.data() + b_off;
-  return std::lexicographical_compare(ka, ka + a_len, kb, kb + b_len);
-}
-
-// shard-barrier begin(commit of one window: staged effects merge into the
-// global engine state in pedigree-key order; every shard thread is parked)
+// shard-barrier begin(commit of one window: outboxed effects are pushed
+// into their owners' queues and metrics merge into the global struct;
+// every shard thread is parked)
 // scup-analyze: barrier-entry(single-threaded: every shard thread is parked)
 void ShardEngine::commit_staged() {
   for (const auto& shard : shards_) {
@@ -268,81 +237,24 @@ void ShardEngine::commit_staged() {
       std::rethrow_exception(err);
     }
   }
-  const std::size_t S = shards_.size();
-  std::vector<std::size_t> pos(S, 0);
-
-  // ---- outboxes: k-way merge by pedigree key. Each shard's outbox is
-  // already key-sorted (staging order within a shard is dispatch order),
-  // so picking the minimum head reproduces the serial effect order — and
-  // with it the serial seq numbering. Verdicts (delivery times, drops,
-  // duplicates) were drawn at send time on the shard threads; the barrier
-  // only assigns dense seqs and routes. Note the dense seq *values* can
-  // differ from a legacy run's (provisional effects never consume
-  // next_seq_); only their relative order is observable, and that matches.
+  // Every outboxed event lies at or past the window end, where no shard
+  // has popped anything yet, and its key was final when it was staged:
+  // the push order across shards is irrelevant to the pop order.
   const std::uint64_t t_merge = timing_ ? mono_ns() : 0;
-  for (;;) {
-    std::size_t best = S;
-    for (std::size_t s = 0; s < S; ++s) {
-      if (pos[s] >= shards_[s]->outbox.size()) continue;
-      if (best == S) {
-        best = s;
-        continue;
-      }
-      const StagedOp& a = shards_[s]->outbox[pos[s]];
-      const StagedOp& b = shards_[best]->outbox[pos[best]];
-      if (key_less(*shards_[s], a.key_off, a.key_len, *shards_[best],
-                   b.key_off, b.key_len)) {
-        best = s;
-      }
+  for (auto& shard : shards_) {
+    for (Event& e : shard->outbox) {
+      shards_[e.target % shards_.size()]->queue.push(std::move(e));
     }
-    if (best == S) break;
-    StagedOp& op = shards_[best]->outbox[pos[best]++];
-    Event& e = op.event;
-    e.seq = sim_.next_seq_++;
-    shards_[e.target % S]->queue.push(std::move(e));
+    shard->outbox.clear();  // keeps capacity
   }
-
   if (timing_) merge_ns_ += mono_ns() - t_merge;
 
-  // ---- signs: same merge, replayed into the Notary log so the combined
-  // compute()+append() stream equals a serial sign() stream.
-  const std::uint64_t t_replay = timing_ ? mono_ns() : 0;
-  std::fill(pos.begin(), pos.end(), 0);
-  for (;;) {
-    std::size_t best = S;
-    for (std::size_t s = 0; s < S; ++s) {
-      if (pos[s] >= shards_[s]->signs.size()) continue;
-      if (best == S) {
-        best = s;
-        continue;
-      }
-      const StagedSign& a = shards_[s]->signs[pos[s]];
-      const StagedSign& b = shards_[best]->signs[pos[best]];
-      if (key_less(*shards_[s], a.key_off, a.key_len, *shards_[best],
-                   b.key_off, b.key_len)) {
-        best = s;
-      }
-    }
-    if (best == S) break;
-    const StagedSign& sg = shards_[best]->signs[pos[best]++];
-    sim_.notary_.append(sg.signer, sg.statement);
-  }
-
-  if (timing_) replay_ns_ += mono_ns() - t_replay;
-
-  // ---- metrics, time, arenas.
   const std::uint64_t t_reset = timing_ ? mono_ns() : 0;
   for (auto& shard : shards_) {
     sim_.absorb_metrics(shard->metrics);
     if (shard->processed_any) {
       sim_.now_ = std::max(sim_.now_, shard->last_time);
     }
-    // Wholesale free: clear() keeps capacity, so after warm-up the arenas
-    // stop allocating (tracked by arena_reused / arena_grown).
-    shard->outbox.clear();
-    shard->signs.clear();
-    shard->key_arena.clear();
-    shard->provisional_keys.clear();  // drained at dispatch; belt-and-braces
   }
   if (timing_) reset_ns_ += mono_ns() - t_reset;
 }
@@ -357,18 +269,12 @@ ShardStats ShardEngine::stats() const {
   total.timing_enabled = timing_;
   total.window_ns = window_ns_;
   total.merge_ns = merge_ns_;
-  total.replay_ns = replay_ns_;
   total.reset_ns = reset_ns_;
   if (timing_) total.shard_drain_ns.reserve(shards_.size());
   for (const auto& shard : shards_) {
     total.staged_ops += shard->stats.staged_ops;
-    total.arena_reused += shard->stats.arena_reused;
-    total.arena_grown += shard->stats.arena_grown;
     total.batch_upcalls += shard->stats.batch_upcalls;
     total.batched_messages += shard->stats.batched_messages;
-    total.provisional_events += shard->stats.provisional_events;
-    total.inline_verdicts += shard->stats.inline_verdicts;
-    total.provisional_sends += shard->stats.provisional_sends;
     total.drain_ns += shard->stats.drain_ns;
     if (timing_) total.shard_drain_ns.push_back(shard->stats.drain_ns);
   }

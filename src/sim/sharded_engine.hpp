@@ -1,72 +1,46 @@
-// ShardEngine — deterministic time-window parallelism inside one run.
+// ShardEngine — the simulator's one event loop: deterministic time-window
+// execution over S >= 1 shards.
 //
-// The simulator's event plane is sharded by process id: shard s owns every
-// process p with p % shards == s, that process's calendar queue entries,
-// mailbox, timers and RNG. Shards drain their own queues concurrently
-// inside a conservative window [T, end) where
+// The event plane is sharded by process id: shard s owns every process p
+// with p % shards == s, that process's calendar queue entries, mailbox,
+// timers, RNG streams, scheduling counter and Notary sign log. Shards drain
+// their own queues concurrently inside a conservative window [T, end)
+// where
 //   end = min over nonempty shards s of (next_event(s) + W_out(s))
 // and W_out(s) — the shard's *lookahead* — is the minimum
 // NetworkModel::min_latency(from, to) over cross-shard pairs with `from`
-// in s (DESIGN.md §4.7). Intra-shard latency never constrains the window:
-// a same-shard delivery landing inside it runs provisionally on the owning
-// shard. Because a shard's earliest possible cross-shard send happens no
-// earlier than its next event, nothing a shard does inside the window can
-// schedule work for another shard inside the same window — cross-shard
-// effects always land at or beyond the window end, so they are staged in
-// per-shard outboxes and exchanged at a global barrier. A shard with no
-// cross-shard pairs (notably shards == 1) has unbounded lookahead and the
-// window extends to the caller's cap. DESIGN.md §4.6 gives the base
-// order-preservation argument, §4.7 the lookahead refinement.
+// in s (DESIGN.md §4.7). A shard's earliest possible cross-shard send
+// happens no earlier than its next event, so nothing it does inside the
+// window can schedule work for another shard inside the same window:
+// cross-shard effects land at or beyond the window end, wait in the
+// sending shard's outbox, and are pushed into their owner's queue at the
+// barrier. Intra-shard effects (timers are always self-targeted) go
+// straight into the shard's own queue, wherever they land. A shard with no
+// cross-shard pairs (notably shards == 1, which is also what shards == 0
+// selects) has unbounded lookahead: the window extends to the caller's
+// cap and runs on the calling thread.
 //
-// Determinism contract: a sharded run is bit-identical (Notary sign log,
-// SimMetrics, ledger contents) to the shards == 1 run of the same scenario,
-// for every shard count. Three mechanisms make that true:
+// Determinism contract: a run is bit-identical (Notary sign logs,
+// SimMetrics, protocol state, end time) for every shard count. Every event
+// carries the fixed-size key (deliver_time, send_time, origin,
+// origin_counter) of sim/event_queue.hpp, computed by the scheduling shard
+// from state only that shard touches, and every queue pops in key order.
+// Each process therefore sees its events in the same order under every
+// partition (DESIGN.md §4.6), so its sends, timers, signatures and — under
+// the draw-plan contract of NetworkModel — its network verdicts are the
+// same too. Nothing at the barrier depends on the order shards are visited
+// in: there is no merge.
 //
-//  1. Pedigree keys. Every staged effect (send, cross-window timer, sign)
-//     carries a key encoding the chain of events that produced it:
-//       D(final event)        = [time, 0, seq]
-//       D(provisional event)  = [time, 1] ++ Q(its scheduling key)
-//       Q(k-th effect of a dispatch) = D(dispatching event) ++ [k]
-//     Keys are compared lexicographically; the encoding is prefix-free
-//     (every frame position carries a 0/1 discriminator), so lexicographic
-//     order on the raw words is exactly the order a serial run would have
-//     produced the effects in. Keys live in a per-shard flat arena
-//     (key_arena) that is bump-allocated during the window and freed
-//     wholesale at the barrier.
-//
-//  2. Send-time network verdicts under the draw-plan contract. Every
-//     sender owns a private StreamRng substream, and NetworkModel::on_send
-//     consumes exactly draws_per_send(now) draws from it per send
-//     (enforced), so a sender's stream position is a pure function of its
-//     own send history — which is identical in every execution mode,
-//     because all of a sender's events live on one shard and are drained
-//     in (time, seq) order. Shards therefore evaluate verdicts in
-//     parallel, inside the window, the moment a send happens; the barrier
-//     merge only assigns dense sequence numbers in pedigree order and
-//     routes the already-timed events. (The pre-lookahead engine deferred
-//     every verdict to the barrier and replayed them single-threaded
-//     through one global stream.)
-//
-//  3. Provisional events. Effects that land inside the current window — a
-//     process's own timer with a short delay, or an intra-shard delivery
-//     faster than the window — are pushed straight into the owning shard's
-//     queue with a temporary sequence number >= kTempSeqBase — past every
-//     final seq at the same tick, which is exactly where a serial run's
-//     (larger, window-assigned) seq would have sorted them — and their
-//     pedigree key is remembered so effects they produce stay globally
-//     ordered. A *cross-shard* verdict inside the window is a model
-//     contract violation (min_latency(from, to) lied) and throws.
-//
-// The window loop also batches deliveries: consecutive queue entries with
-// the same (tick, target) become one Process::on_messages upcall, with
-// per-delivery pedigree handled through Process::begin_delivery cookies.
+// The drain loop batches deliveries: consecutive queue entries with the
+// same (tick, target), all scheduled at an earlier tick, become one
+// Process::on_messages upcall. Anything a handler schedules at the current
+// tick carries send_time == tick and sorts after every such entry, so a
+// batch is exactly the run of events a one-at-a-time drain would pop next.
 #pragma once
 
 #include <cstdint>
 #include <exception>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/types.hpp"
@@ -80,39 +54,24 @@ namespace scup::sim {
 class Simulation;
 class NetworkModel;
 
-/// Sharded-engine instrumentation, kept outside SimMetrics on purpose: the
+/// Engine instrumentation, kept outside SimMetrics on purpose: the
 /// shard-invariance suites compare SimMetrics bit-for-bit across shard
-/// counts, and these counters legitimately differ (a serial run has no
-/// barriers to count).
+/// counts, and these counters legitimately differ (the window schedule
+/// depends on the partition).
 struct ShardStats {
   std::size_t shards = 0;
-  /// Conservative windows executed (== global barriers).
+  /// Windows executed (== barriers).
   std::size_t windows = 0;
-  /// Effects staged in outboxes (sends + cross-window timers).
+  /// Cross-shard effects held in outboxes until the barrier.
   std::size_t staged_ops = 0;
-  /// Staged ops that reused arena capacity vs. ones that grew it. After
-  /// warm-up reused should dominate: the outbox arenas are freed
-  /// wholesale at each barrier but keep their capacity.
-  std::size_t arena_reused = 0;
-  std::size_t arena_grown = 0;
   /// Batched-delivery upcalls and the messages they carried.
   std::size_t batch_upcalls = 0;
   std::size_t batched_messages = 0;
-  /// Same-window provisional events executed with temporary sequence
-  /// numbers (short self timers and intra-shard fast-link deliveries).
-  std::size_t provisional_events = 0;
-  /// Network verdicts evaluated inside the parallel window (i.e. on shard
-  /// threads, off the barrier). In a sharded run every send is an inline
-  /// verdict — the barrier does no RNG work at all.
-  std::size_t inline_verdicts = 0;
-  /// Sends whose verdict landed inside the current window and were run
-  /// provisionally on the sending shard instead of being staged.
-  std::size_t provisional_sends = 0;
   /// Sum over windows of (window_end - window_start); divide by `windows`
   /// for the average width the lookahead achieved.
   std::uint64_t window_width_sum = 0;
 
-  // ---- barrier-replay profile (NetworkConfig::shard_timing) ----
+  // ---- window profile (NetworkConfig::shard_timing) ----
   //
   // Wall-clock (steady_clock) nanoseconds, collected only when the flag
   // below is set so default runs never read a real clock. Timing is
@@ -121,11 +80,13 @@ struct ShardStats {
   bool timing_enabled = false;
   /// Parallel window execution: fork, per-shard drains, join.
   std::uint64_t window_ns = 0;
-  /// Barrier: k-way pedigree-ordered outbox merge (dense seq assignment).
+  /// Barrier: pushing outboxed cross-shard effects into their owners'
+  /// queues.
   std::uint64_t merge_ns = 0;
-  /// Barrier: staged Notary sign replay.
+  /// Always 0: signatures are logged on the signer's shard as they
+  /// happen, so the barrier replays nothing. Kept for report formats.
   std::uint64_t replay_ns = 0;
-  /// Barrier: metrics absorption + wholesale arena reset.
+  /// Barrier: metrics absorption.
   std::uint64_t reset_ns = 0;
   /// Sum across shards of in-window drain body time (< window_ns: the gap
   /// is fork/join overhead plus the straggler imbalance).
@@ -134,38 +95,14 @@ struct ShardStats {
   std::vector<std::uint64_t> shard_drain_ns;
 };
 
-/// Provisional (same-window) events carry temporary sequence numbers from
-/// this base. 2^63 is past every final seq, so they sort after all final
-/// events at the same tick — matching the serial run, where a timer armed
-/// inside the window receives a larger seq than anything scheduled before
-/// the window started.
-inline constexpr std::uint64_t kTempSeqBase = std::uint64_t{1} << 63;
-
-/// One staged effect landing at or beyond the window end: a delivery with
-/// its verdict (and hence its final time) already drawn at send time, or a
-/// cross-window timer. The barrier only assigns the dense seq, in merged
-/// key order. `key_off/key_len` index the owning shard's key_arena.
-struct StagedOp {
-  std::uint32_t key_off = 0;
-  std::uint32_t key_len = 0;
-  Event event;  // time final; seq filled at the barrier
-};
-
-/// One staged Notary log entry (the token was computed in-window;
-/// the log append replays at the barrier in merged key order).
-struct StagedSign {
-  std::uint32_t key_off = 0;
-  std::uint32_t key_len = 0;
-  ProcessId signer = kInvalidProcess;
-  std::uint64_t statement = 0;
-};
-
 /// Everything one shard owns. Touched only by the shard's thread inside
 /// ShardPool::run and only by the coordinating thread outside it (the
 /// pool's fork/join provides the happens-before edges).
 struct ShardContext {
   std::size_t index = 0;
   CalendarQueue queue;
+  /// Exclusive end of the window being drained (set before the fork).
+  SimTime window_end = 0;
   /// Simulated time of the event being dispatched (Process::now()).
   SimTime now = 0;
   /// Time of the last event this shard processed in the current window.
@@ -174,80 +111,37 @@ struct ShardContext {
   /// Window-local metrics delta, merged into Simulation::metrics_ at the
   /// barrier and zeroed in place.
   SimMetrics metrics;
-
-  // ---- staging arenas: bump-allocated per window, freed wholesale ----
-  std::vector<StagedOp> outbox;
-  std::vector<StagedSign> signs;
-  // scup-owner: shard
-  std::vector<std::uint64_t> key_arena;
-
-  /// Pedigree of the event currently being dispatched (D in the header
-  /// comment) and the per-dispatch effect counter (the k in Q).
-  // scup-owner: shard
-  std::vector<std::uint64_t> current_key;
-  std::uint64_t intra = 0;
-
-  /// Temporary seq allocation + key bookkeeping for provisional events.
-  // scup-owner: shard
-  std::uint64_t next_temp_seq = 0;
-  // scup-owner: shard
-  std::map<std::uint64_t, std::pair<std::uint32_t, std::uint32_t>>
-      provisional_keys;
-
+  /// Cross-shard effects scheduled this window (all at or past
+  /// window_end), pushed into their owners' queues at the barrier.
+  std::vector<Event> outbox;
   /// Reused buffer for batched same-tick deliveries.
   std::vector<Delivery> batch;
 
   ShardStats stats;
   std::exception_ptr error;
-
-  /// Appends Q = current_key ++ [intra++] to the key arena; returns its
-  /// (offset, length).
-  std::pair<std::uint32_t, std::uint32_t> make_qkey() {
-    const std::uint32_t off = static_cast<std::uint32_t>(key_arena.size());
-    key_arena.insert(key_arena.end(), current_key.begin(), current_key.end());
-    key_arena.push_back(intra++);
-    return {off, static_cast<std::uint32_t>(key_arena.size() - off)};
-  }
-
-  /// Stages one outbox effect, counting arena reuse vs. growth.
-  void stage(Event e) {
-    if (outbox.size() < outbox.capacity()) {
-      ++stats.arena_reused;
-    } else {
-      ++stats.arena_grown;
-    }
-    const auto [off, len] = make_qkey();
-    StagedOp op;
-    op.key_off = off;
-    op.key_len = len;
-    op.event = std::move(e);
-    outbox.push_back(std::move(op));
-    ++stats.staged_ops;
-  }
 };
 
 class ShardEngine {
  public:
   /// `shards` >= 1. Spawns shards - 1 pool workers (shard 0 runs on the
-  /// coordinating thread), so shards == 1 is the windowed engine with no
-  /// threads at all — the determinism baseline.
+  /// coordinating thread), so shards == 1 runs with no threads at all.
   ShardEngine(Simulation& sim, std::size_t shards);
 
   /// The shard context of the calling thread while it is draining a window,
-  /// nullptr otherwise (in particular: nullptr on the coordinating thread
-  /// between windows, and always nullptr in the legacy serial loop).
+  /// nullptr otherwise (in particular: on the coordinating thread between
+  /// windows and during the pre-start phase).
   static ShardContext* current();
 
-  /// Moves every queued event into the owning shard's queue, in (time, seq)
-  /// order. Called once by Simulation::start after the pre-start serial
-  /// phase has populated the global queue.
-  void seed_from(CalendarQueue& queue);
+  /// Queues `e` on its target's shard. `ctx` is the calling shard inside a
+  /// window, or nullptr on the coordinating thread between windows (driver
+  /// calls and the pre-start phase), where any shard may be pushed to.
+  void schedule(ShardContext* ctx, Event e);
 
   /// Runs one conservative window: picks T = min next-event time across
   /// shards, drains [T, end) in parallel with
   ///   end = min(min over nonempty shards s of (next_event(s) + W_out(s)),
   ///             deadline + 1, cap)
-  /// then commits staged effects at the barrier. Returns false (without
+  /// then pushes outboxed effects at the barrier. Returns false (without
   /// running anything) when no shard has an event at time <= deadline, or
   /// when the earliest event is at or past `cap` (run_until's
   /// predicate-checkpoint grid passes the next grid point as the cap).
@@ -260,36 +154,15 @@ class ShardEngine {
   /// NetworkConfig::lookahead_quantum at construction; >= 1).
   SimTime quantum() const { return quantum_; }
 
-  /// Routes an externally pushed event (crash_at between runs) to its
-  /// owning shard. The caller has already assigned the final seq.
-  void push_external(Event e);
-
-  std::size_t shards() const { return shards_.size(); }
-
-  /// Exclusive end of the window currently being drained. Valid only inside
-  /// run_window (used by Simulation::enqueue_timer to classify a firing as
-  /// provisional vs. staged).
-  // scup-analyze: owner-ok(window_end_ is written only between windows, so in-window reads see a stable value)
-  SimTime window_end() const { return window_end_; }
-
   /// Aggregated instrumentation across shards.
   ShardStats stats() const;
 
  private:
-  /// Drains one shard up to `window_end` (an immutable snapshot taken by
-  /// run_window before the pool forks, so shard threads never read the
-  /// engine's mutable window state).
-  void drain(std::size_t shard_index, SimTime window_end);
-  /// Installs D(event) as the context's current pedigree key.
-  void set_dispatch_key(ShardContext& ctx, const Event& e);
-  /// Barrier half: merges outboxes in key order (assigning dense seqs —
-  /// verdicts were already drawn at send time), replays staged signs into
-  /// the Notary, merges metrics deltas, advances Simulation::now_, frees
-  /// arenas.
+  /// Drains one shard up to its context's window_end.
+  void drain(std::size_t shard_index);
+  /// Barrier half: rethrows a shard's error, pushes outboxes into their
+  /// owners' queues, merges metrics deltas, advances Simulation::now_.
   void commit_staged();
-  bool key_less(const ShardContext& a, std::uint32_t a_off,
-                std::uint32_t a_len, const ShardContext& b,
-                std::uint32_t b_off, std::uint32_t b_len) const;
 
   Simulation& sim_;
   std::vector<std::unique_ptr<ShardContext>> shards_;
@@ -301,35 +174,28 @@ class ShardEngine {
   std::vector<SimTime> w_out_;
   SimTime quantum_ = 1;
   // scup-owner: engine
-  SimTime window_end_ = 0;
-  // scup-owner: engine
   std::size_t windows_ = 0;
   // scup-owner: engine
   std::uint64_t width_sum_ = 0;
 
-  // ---- barrier-replay profile accumulators (NetworkConfig::shard_timing;
-  // ---- engine-level sections are timed on the coordinating thread only,
-  // ---- per-shard drain time lives in ShardContext::stats) ----
+  // ---- window profile accumulators (NetworkConfig::shard_timing; engine-
+  // ---- level sections are timed on the coordinating thread only, per-
+  // ---- shard drain time lives in ShardContext::stats) ----
   bool timing_ = false;
   // scup-owner: engine
   std::uint64_t window_ns_ = 0;
   // scup-owner: engine
   std::uint64_t merge_ns_ = 0;
   // scup-owner: engine
-  std::uint64_t replay_ns_ = 0;
-  // scup-owner: engine
   std::uint64_t reset_ns_ = 0;
 };
 
 /// The per-shard lookahead vector for `shards` shards over `n` processes
-/// under the p % shards ownership map (see the class comment). With
-/// `global_min` every entry is the model's global min_latency() —
-/// the pre-lookahead window schedule. Throws std::invalid_argument, naming
-/// the offending link, when any cross-shard pair has a latency floor below
-/// one tick (shards == 1 has no cross-shard pairs, so a zero-latency model
-/// is legal there).
+/// under the p % shards ownership map (see the file comment). Throws
+/// std::invalid_argument, naming the offending link, when any cross-shard
+/// pair has a latency floor below one tick (shards == 1 has no cross-shard
+/// pairs, so a zero-latency model is legal there).
 std::vector<SimTime> shard_window_widths(const NetworkModel& model,
-                                         std::size_t n, std::size_t shards,
-                                         bool global_min);
+                                         std::size_t n, std::size_t shards);
 
 }  // namespace scup::sim

@@ -62,9 +62,9 @@ Simulation::Simulation(std::size_t n, NetworkConfig config,
     : n_(n),
       config_(config),
       model_(std::move(model)),
+      origin_counters_(n, 0),
       notary_(n, config.seed),
       processes_(n),
-      isolated_(n, 0),
       crashed_(n, 0),
       active_(n, 0),
       activation_time_(n, 0),
@@ -118,16 +118,13 @@ void Simulation::activate(ProcessId id, SimTime t) {
 
 void Simulation::set_shards(std::size_t shards) {
   if (started_) throw std::logic_error("set_shards after start");
-  if (shards > 0) {
-    // Validates the lookahead up front (and with it the model): throws,
-    // naming the offending link, when any cross-shard pair under the
-    // p % shards partition has a latency floor below one tick.
-    shard_window_widths(*model_, n_, shards, config_.lookahead_global_min);
-  }
+  // Validates the lookahead up front (and with it the model): throws,
+  // naming the offending link, when any cross-shard pair under the
+  // p % shards partition has a latency floor below one tick.
+  shard_window_widths(*model_, n_, std::max<std::size_t>(1, shards));
   shards_requested_ = shards;
 }
 
-// scup-analyze: owner-ok(pre-run serial phase; in-shard `start` calls resolve to SinkDiscovery::start, a name collision)
 void Simulation::start() {
   if (started_) throw std::logic_error("Simulation::start called twice");
   for (ProcessId id = 0; id < n_; ++id) {
@@ -137,54 +134,49 @@ void Simulation::start() {
     }
   }
   started_ = true;
+  engine_ = std::make_unique<ShardEngine>(
+      *this, std::max<std::size_t>(1, shards_requested_));
   for (const auto& [id, t] : pending_crashes_) {
     if (t == 0) {
       // Crashed at genesis: the process never runs — not even start().
       crashed_[id] = 1;
       continue;
     }
-    Event e;
-    e.time = t;
-    e.seq = next_seq_++;
-    e.kind = EventKind::kCrash;
-    e.target = id;
-    queue_.push(std::move(e));
+    enqueue_engine_event(EventKind::kCrash, id, t);
   }
   pending_crashes_.clear();
   for (ProcessId id = 0; id < n_; ++id) {
     if (activation_time_[id] == 0) continue;
-    Event e;
-    e.time = activation_time_[id];
-    e.seq = next_seq_++;
-    e.kind = EventKind::kActivate;
-    e.target = id;
-    queue_.push(std::move(e));
+    enqueue_engine_event(EventKind::kActivate, id, activation_time_[id]);
   }
-  {
-    // Process start() upcalls construct the first broadcast wave.
-    const MessagePool::Scope pool_scope(pool_.get());
-    for (ProcessId id = 0; id < n_; ++id) {
-      if (activation_time_[id] != 0 || crashed_[id]) continue;
-      active_[id] = 1;
-      processes_[id]->start();
-    }
-  }
-  if (shards_requested_ > 0) {
-    // The pre-start phase above ran serially (no shard context), so its
-    // sends drew network verdicts and seqs exactly as the legacy loop
-    // would; the engine takes over from the seeded queue.
-    engine_ = std::make_unique<ShardEngine>(*this, shards_requested_);
-    engine_->seed_from(queue_);
+  // Process start() upcalls run serially on the calling thread (no shard
+  // context) and construct the first broadcast wave.
+  const MessagePool::Scope pool_scope(pool_.get());
+  for (ProcessId id = 0; id < n_; ++id) {
+    if (activation_time_[id] != 0 || crashed_[id]) continue;
+    active_[id] = 1;
+    processes_[id]->start();
   }
 }
 
-// scup-analyze: owner-ok(engine state is touched on the serial path only; the sharded path stages into the caller's ShardContext)
+// scup-analyze: owner-ok(between windows only: the driver's crash_at and start() schedule engine-origin events)
+void Simulation::enqueue_engine_event(EventKind kind, ProcessId target,
+                                      SimTime at) {
+  Event e;
+  e.key = {at, now_, kEngineOrigin, engine_counter_++};
+  e.kind = kind;
+  e.target = target;
+  engine_->schedule(nullptr, std::move(e));
+}
+
+// scup-analyze: owner-ok(between windows the caller is the only running thread; in-window state is the sender's own)
 void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
   if (to >= n_) throw std::out_of_range("send: bad destination");
   if (from >= n_) throw std::out_of_range("send: bad sender");
   if (!msg) throw std::invalid_argument("send: null message");
   if (crashed_[from]) return;  // a crashed process sends nothing
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
+  if (!engine_) throw std::logic_error("send before Simulation::start");
+  ShardContext* ctx = ShardEngine::current();
   SimMetrics& m = ctx ? ctx->metrics : metrics_;
   m.messages_sent += 1;
   // Wire-once accounting: codec-bearing messages are charged their exact
@@ -211,12 +203,11 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
   m.messages_by_type_id[type] += 1;
   m.bytes_by_type_id[type] += bytes;
 
-  // The verdict is drawn at send time in every execution mode, from the
-  // sender's private substream. Inside a window this runs on the sending
-  // shard's thread with no synchronization: sender `from`'s events all
-  // live on shard from % S and are drained in (time, seq) order, so its
-  // send sequence — and with it the substream position — is identical in
-  // the legacy loop and under every shard count.
+  // The verdict is drawn at send time from the sender's private
+  // substream. Inside a window this runs on the sending shard's thread
+  // with no synchronization: sender `from`'s events all live on shard
+  // from % S and are drained in key order, so its send sequence — and with
+  // it the substream position — is identical under every shard count.
   const SimTime send_time = ctx ? ctx->now : now_;
   // drawplan begin(the audited verdict site: the draw-plan check below is
   // what licenses every other access)
@@ -232,7 +223,6 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
         std::to_string(consumed) + " draw(s) where draws_per_send(now) "
         "promises " + std::to_string(model_->draws_per_send(send_time)));
   }
-  if (ctx) ctx->stats.inline_verdicts += 1;
   if (verdict.dropped) {
     m.messages_dropped += 1;
     return;
@@ -241,54 +231,30 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
       (verdict.duplicated && verdict.duplicate_at < send_time)) {
     throw std::logic_error("NetworkModel: delivery scheduled in the past");
   }
-  // The original is routed before the duplicate and holds the smaller seq
-  // (dense or temporary), preserving the queue's seq-sorted-bucket
-  // invariant when both copies sample the same delay.
+  // The original is routed before the duplicate and takes the smaller
+  // origin counter, so it pops first when both copies sample the same
+  // delay.
   MessagePtr dup_msg = verdict.duplicated ? msg : nullptr;
-  route_delivery(ctx, from, to, verdict.deliver_at, std::move(msg));
+  route_delivery(ctx, from, to, send_time, verdict.deliver_at,
+                 std::move(msg));
   if (verdict.duplicated) {
     m.messages_duplicated += 1;
     // Both copies share the immutable message.
-    route_delivery(ctx, from, to, verdict.duplicate_at, std::move(dup_msg));
+    route_delivery(ctx, from, to, send_time, verdict.duplicate_at,
+                   std::move(dup_msg));
   }
 }
 
-// scup-analyze: owner-ok(engine state is touched on the serial path only; the sharded path stages into the caller's ShardContext)
 void Simulation::route_delivery(ShardContext* ctx, ProcessId from,
-                                ProcessId to, SimTime at, MessagePtr msg) {
+                                ProcessId to, SimTime sent, SimTime at,
+                                MessagePtr msg) {
   Event e;
-  e.time = at;
+  e.key = {at, sent, process_origin(from), origin_counters_[from]++};
   e.kind = EventKind::kDeliver;
   e.target = to;
   e.from = from;
   e.msg = std::move(msg);
-  if (ctx == nullptr) {
-    e.seq = next_seq_++;
-    queue_.push(std::move(e));
-    return;
-  }
-  if (at < engine_->window_end()) {
-    if (to % engine_->shards() != ctx->index) {
-      // Unreachable for honest models: a cross-shard verdict satisfies
-      // deliver_at >= send_time + min_latency(from, to) >= window_end by
-      // the window construction. Landing here means min_latency lied.
-      throw std::logic_error(
-          "NetworkModel delivered a cross-shard message inside the "
-          "conservative window; min_latency(from, to) must lower-bound "
-          "every verdict");
-    }
-    // Intra-shard and inside the window: run it provisionally on this
-    // shard under a temporary seq that sorts exactly where the serial
-    // run's window-assigned seq would (see sharded_engine.hpp header).
-    e.seq = kTempSeqBase + ctx->next_temp_seq++;
-    ctx->provisional_keys.emplace(e.seq, ctx->make_qkey());
-    ctx->stats.provisional_sends += 1;
-    ctx->queue.push(std::move(e));
-    return;
-  }
-  // At or past the window end: stage for the barrier, which assigns the
-  // dense seq in merged pedigree order and routes to the owning shard.
-  ctx->stage(std::move(e));
+  engine_->schedule(ctx, std::move(e));
 }
 
 std::uint64_t& Simulation::timer_generation(ProcessId target, int timer_id) {
@@ -308,95 +274,32 @@ const std::uint64_t* Simulation::find_timer_generation(ProcessId target,
   return nullptr;
 }
 
-// scup-analyze: owner-ok(engine state is touched on the serial path only; the sharded path stages into the caller's ShardContext)
+// scup-analyze: owner-ok(timers are self-targeted: the counter and queue are the caller's own shard's; between windows the caller is the only running thread)
 void Simulation::enqueue_timer(ProcessId target, int timer_id, SimTime delay) {
   if (delay < 0) throw std::invalid_argument("set_timer: negative delay");
-  const std::uint64_t generation = ++timer_generation(target, timer_id);
+  if (!engine_) throw std::logic_error("set_timer before Simulation::start");
+  ShardContext* ctx = ShardEngine::current();
+  const SimTime now = ctx ? ctx->now : now_;
   Event e;
+  e.key = {now + delay, now, process_origin(target),
+           origin_counters_[target]++};
   e.kind = EventKind::kTimer;
   e.target = target;
   e.timer_id = timer_id;
-  e.timer_generation = generation;
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
-  if (ctx) {
-    e.time = ctx->now + delay;
-    if (e.time < engine_->window_end()) {
-      // Fires inside the current window: run it provisionally on this
-      // shard (timers are always self-targeted, so the firing is
-      // shard-local) under a temporary seq that sorts exactly where the
-      // serial run's window-assigned seq would.
-      e.seq = kTempSeqBase + ctx->next_temp_seq++;
-      ctx->provisional_keys.emplace(e.seq, ctx->make_qkey());
-      ctx->queue.push(std::move(e));
-    } else {
-      ctx->stage(std::move(e));
-    }
-    return;
-  }
-  e.time = now_ + delay;
-  e.seq = next_seq_++;
-  queue_.push(std::move(e));
+  e.timer_generation = ++timer_generation(target, timer_id);
+  engine_->schedule(ctx, std::move(e));
 }
 
 void Simulation::cancel_timer(ProcessId target, int timer_id) {
-  // Bumping the generation invalidates any queued firing (including a
-  // provisional one sitting in the caller's own shard queue).
+  // Bumping the generation invalidates any queued firing.
   ++timer_generation(target, timer_id);
 }
 
-// scup-analyze: owner-ok(the token math is pure; when sharded, the log append is staged for the barrier replay)
-Notary::Token Simulation::sign_as(ProcessId signer, std::uint64_t statement) {
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
-  if (ctx == nullptr) return notary_.sign(signer, statement);
-  const Notary::Token token = notary_.compute(signer, statement);
-  const auto [off, len] = ctx->make_qkey();
-  StagedSign sg;
-  sg.key_off = off;
-  sg.key_len = len;
-  sg.signer = signer;
-  sg.statement = statement;
-  ctx->signs.push_back(sg);
-  return token;
-}
-
-void Simulation::note_delivery(const Delivery& d) {
-  if (engine_ == nullptr) return;
-  ShardContext* ctx = ShardEngine::current();
-  if (ctx == nullptr) return;
-  // The cookie carries the delivery event's seq through the batched
-  // upcall; D(delivery i of the batch) = [tick, 0, seq], except that a
-  // provisional (same-window intra-shard) delivery has only a temporary
-  // per-shard seq — not globally comparable — so its pedigree is its
-  // scheduling key, D = [tick, 1] ++ Q, exactly like a provisional timer.
-  ctx->current_key.clear();
-  ctx->current_key.push_back(static_cast<std::uint64_t>(ctx->now));
-  if (d.cookie >= kTempSeqBase) {
-    ctx->current_key.push_back(1);
-    const auto it = ctx->provisional_keys.find(d.cookie);
-    const auto [off, len] = it->second;
-    // Copy out of the arena now — later staging may reallocate it.
-    ctx->current_key.insert(ctx->current_key.end(),
-                            ctx->key_arena.begin() + off,
-                            ctx->key_arena.begin() + off + len);
-    ctx->provisional_keys.erase(it);
-    ctx->stats.provisional_events += 1;
-  } else {
-    ctx->current_key.push_back(0);
-    ctx->current_key.push_back(d.cookie);
-  }
-  ctx->intra = 0;
-}
-
-// scup-analyze: owner-ok(serial path adds to metrics_ directly; the sharded path adds to the shard's window delta)
+// scup-analyze: owner-ok(between windows adds to metrics_ directly; in a window adds to the calling shard's delta)
 void Simulation::counter_add(ProtoCounter counter, std::uint64_t delta) {
-  ShardContext* ctx = engine_ ? ShardEngine::current() : nullptr;
+  ShardContext* ctx = ShardEngine::current();
   SimMetrics& m = ctx ? ctx->metrics : metrics_;
   m.protocol_counters[static_cast<std::size_t>(counter)] += delta;
-}
-
-void Simulation::isolate(ProcessId id) {
-  if (id >= n_) throw std::out_of_range("isolate: bad id");
-  isolated_[id] = 1;
 }
 
 void Simulation::crash(ProcessId id) {
@@ -411,16 +314,7 @@ void Simulation::crash_at(ProcessId id, SimTime t) {
     pending_crashes_.emplace_back(id, t);
     return;
   }
-  Event e;
-  e.time = t;
-  e.seq = next_seq_++;
-  e.kind = EventKind::kCrash;
-  e.target = id;
-  if (engine_) {
-    engine_->push_external(std::move(e));
-  } else {
-    queue_.push(std::move(e));
-  }
+  enqueue_engine_event(EventKind::kCrash, id, t);
 }
 
 void Simulation::dispatch(Event& event, SimMetrics& metrics) {
@@ -428,22 +322,10 @@ void Simulation::dispatch(Event& event, SimMetrics& metrics) {
   Process& p = *processes_[event.target];
   switch (event.kind) {
     case EventKind::kDeliver:
-      if (isolated_[event.target]) return;
-      if (!active_[event.target]) {
-        // Not yet activated: the message waits in the mailbox and is
-        // handed over right after the deferred start().
-        mailboxes_[event.target].emplace_back(event.from,
-                                              std::move(event.msg));
-        return;
-      }
-      {
-        // Route through the batched upcall (count 1) so on_messages
-        // overrides observe every delivery in both execution modes; the
-        // sharded engine batches whole-tick runs upstream and never
-        // reaches this line for deliverable targets.
-        Delivery d{event.from, std::move(event.msg), event.seq};
-        p.on_messages(&d, 1);
-      }
+      // ShardEngine::drain hands deliveries for active processes straight
+      // to on_messages; one reaching here is for a process not yet
+      // activated, and waits in the mailbox until its deferred start().
+      mailboxes_[event.target].emplace_back(event.from, std::move(event.msg));
       return;
     case EventKind::kTimer: {
       // Drop if re-armed/cancelled since scheduling.
@@ -462,7 +344,7 @@ void Simulation::dispatch(Event& event, SimMetrics& metrics) {
       auto mailbox = std::move(mailboxes_[event.target]);
       mailboxes_[event.target].clear();
       for (auto& [from, msg] : mailbox) {
-        if (crashed_[event.target] || isolated_[event.target]) break;
+        if (crashed_[event.target]) break;
         p.on_message(from, msg);
       }
       return;
@@ -506,30 +388,13 @@ void Simulation::absorb_metrics(SimMetrics& delta) {
   delta.protocol_counters.fill(0);
 }
 
-bool Simulation::step() {
-  if (queue_.empty()) return false;
-  Event event = queue_.pop();
-  now_ = event.time;
-  metrics_.events_processed += 1;
-  dispatch(event, metrics_);
-  return true;
-}
-
 std::size_t Simulation::run_for(SimTime deadline) {
   if (!started_) throw std::logic_error("run_for before start");
   const MessagePool::Scope pool_scope(pool_.get());
-  if (engine_) {
-    const std::size_t before = metrics_.events_processed;
-    while (engine_->run_window(deadline)) {
-    }
-    return metrics_.events_processed - before;
+  const std::size_t before = metrics_.events_processed;
+  while (engine_->run_window(deadline)) {
   }
-  std::size_t processed = 0;
-  while (!queue_.empty() && queue_.next_time() <= deadline) {
-    step();
-    ++processed;
-  }
-  return processed;
+  return metrics_.events_processed - before;
 }
 
 // ---- Process member functions that need the Simulation definition ----
@@ -557,7 +422,7 @@ Rng& Process::rng() { return sim_->process_rngs_[id_]; }
 std::size_t Process::universe_size() const { return sim_->size(); }
 
 std::uint64_t Process::sign(std::uint64_t statement) const {
-  return sim_->sign_as(id_, statement);
+  return sim_->notary_.sign(id_, statement);
 }
 
 bool Process::verify(ProcessId signer, std::uint64_t statement,
@@ -572,12 +437,9 @@ void Process::counter_add(ProtoCounter counter, std::uint64_t delta) {
 void Process::on_messages(Delivery* batch, std::size_t count) {
   // scup-sanitize: batch/count come from the deterministic event plane
   for (std::size_t i = 0; i < count; ++i) {
-    begin_delivery(batch[i]);
     // scup-sanitize: delivery slots were bounds-checked by the scheduler
     on_message(batch[i].from, batch[i].msg);
   }
 }
-
-void Process::begin_delivery(const Delivery& d) { sim_->note_delivery(d); }
 
 }  // namespace scup::sim

@@ -2,16 +2,14 @@
 // replay contract, and the identity guarantees both must preserve.
 //
 //  - shard_window_widths unit tests: the per-shard W_out derived from the
-//    cross-shard latency matrix, the lookahead_global_min baseline, the
-//    unbounded single-shard case, and the configure-time errors that name
-//    the offending link (or the base floor) when a topology makes sharding
-//    illegal.
+//    cross-shard latency matrix, the unbounded single-shard case, and the
+//    configure-time errors that name the offending link (or the base
+//    floor) when a topology makes sharding illegal.
 //  - Identity grid: heterogeneous link overrides x partition windows x
-//    pre-GST loss/duplication, run at shards {0, 1, 2, 3, 8} — metrics,
-//    Notary fingerprints, receipt logs and end times must be bit-identical
-//    (run_for drains the same event set in every mode). The scenario-level
-//    grid repeats the check through run_until's checkpoint grid for both
-//    protocols.
+//    pre-GST loss/duplication, run at shards {0, 1, 2, 3, 8} under both
+//    run_for and run_until — metrics, Notary fingerprints, receipt logs and
+//    end times must be bit-identical. The scenario-level grid repeats the
+//    check through run_until's checkpoint grid for both protocols.
 //  - Draw-plan differential test: a recording wrapper captures every
 //    (from, to, now, stream position, verdict) a live run produced; each
 //    record is then replayed from a fresh StreamRng jumped to the recorded
@@ -42,7 +40,7 @@ struct HetMsg final : Message {
 
 /// Workload tuned for heterogeneous topologies: the (id -> id+2) lane is
 /// the one the fast link overrides cover, so under an even/odd shard split
-/// most traffic is fast intra-shard (provisional deliveries) while the
+/// most traffic is fast intra-shard (delivered inside the window) while the
 /// (id -> id+1) and tag-directed sends cross shards on slow links.
 class HetNode : public Process {
  public:
@@ -109,8 +107,11 @@ struct HetRun {
   SimTime end = 0;
 };
 
+/// Runs the het workload to `horizon` with run_for, or — when `receipts` is
+/// nonzero — with run_until, stopping at the first checkpoint-grid point
+/// where that many receipts have been logged.
 HetRun run_het(std::size_t shards, const NetworkConfig& net,
-               SimTime horizon = 100'000) {
+               SimTime horizon = 100'000, std::size_t receipts = 0) {
   Simulation sim(kHetN, net);
   std::vector<HetNode*> nodes;
   for (ProcessId i = 0; i < kHetN; ++i) {
@@ -118,7 +119,17 @@ HetRun run_het(std::size_t shards, const NetworkConfig& net,
   }
   sim.set_shards(shards);
   sim.start();
-  sim.run_for(horizon);
+  if (receipts == 0) {
+    sim.run_for(horizon);
+  } else {
+    sim.run_until(
+        [&] {
+          std::size_t total = 0;
+          for (const auto* node : nodes) total += node->log_.size();
+          return total >= receipts;
+        },
+        horizon);
+  }
   HetRun out;
   out.metrics = sim.metrics();
   out.fingerprint = sim.notary().fingerprint();
@@ -140,7 +151,7 @@ TEST(LookaheadWindowTest, PerPairWidthsReflectTheCrossShardMatrix) {
   net.max_delay = 12;
   net.link_overrides.push_back({0, 1, 2, 9});
   const UniformModel model(net);
-  const std::vector<SimTime> w = shard_window_widths(model, 4, 2, false);
+  const std::vector<SimTime> w = shard_window_widths(model, 4, 2);
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0], 2);
   EXPECT_EQ(w[1], 6);
@@ -151,22 +162,13 @@ TEST(LookaheadWindowTest, IntraShardOverridesNeverConstrainTheWindow) {
   // under an even/odd split, so both shards keep the full 6-tick base
   // floor — the fix for the global-min pessimization.
   const UniformModel model(het_net(1));
-  const std::vector<SimTime> w =
-      shard_window_widths(model, kHetN, 2, false);
+  const std::vector<SimTime> w = shard_window_widths(model, kHetN, 2);
   ASSERT_EQ(w.size(), 2u);
   EXPECT_EQ(w[0], 6);
   EXPECT_EQ(w[1], 6);
   // Under 3 shards the same lanes cross the partition (i and i+2 differ
   // mod 3) and drag the floor down to the override minimum.
-  for (SimTime width : shard_window_widths(model, kHetN, 3, false)) {
-    EXPECT_EQ(width, 1);
-  }
-}
-
-TEST(LookaheadWindowTest, GlobalMinModeUsesThePessimizedFloor) {
-  const UniformModel model(het_net(1));
-  ASSERT_EQ(model.min_latency(), 1);  // one fast link drags the global min
-  for (SimTime width : shard_window_widths(model, kHetN, 2, true)) {
+  for (SimTime width : shard_window_widths(model, kHetN, 3)) {
     EXPECT_EQ(width, 1);
   }
 }
@@ -178,7 +180,7 @@ TEST(LookaheadWindowTest, SingleShardHasUnboundedLookahead) {
   net.min_delay = 0;
   net.max_delay = 4;
   const UniformModel model(net);
-  const std::vector<SimTime> w = shard_window_widths(model, 8, 1, false);
+  const std::vector<SimTime> w = shard_window_widths(model, 8, 1);
   ASSERT_EQ(w.size(), 1u);
   EXPECT_EQ(w[0], kTimeInfinity);
 }
@@ -190,7 +192,7 @@ TEST(LookaheadWindowTest, NamesTheOffendingCrossShardLink) {
   net.link_overrides.push_back({0, 1, 0, 4});  // zero-latency cross link
   const UniformModel model(net);
   try {
-    shard_window_widths(model, 4, 2, false);
+    shard_window_widths(model, 4, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -198,7 +200,7 @@ TEST(LookaheadWindowTest, NamesTheOffendingCrossShardLink) {
   }
   // The same topology is fine when the link stays inside one shard: with
   // one shard there is no partition to cross.
-  EXPECT_NO_THROW(shard_window_widths(model, 4, 1, false));
+  EXPECT_NO_THROW(shard_window_widths(model, 4, 1));
 }
 
 TEST(LookaheadWindowTest, NamesTheBaseFloorWhenUnoverriddenPairsAreTooFast) {
@@ -207,7 +209,7 @@ TEST(LookaheadWindowTest, NamesTheBaseFloorWhenUnoverriddenPairsAreTooFast) {
   net.max_delay = 4;
   const UniformModel model(net);
   try {
-    shard_window_widths(model, 4, 2, false);
+    shard_window_widths(model, 4, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -217,28 +219,49 @@ TEST(LookaheadWindowTest, NamesTheBaseFloorWhenUnoverriddenPairsAreTooFast) {
 
 TEST(LookaheadWindowTest, ZeroLatencyModelIsLegalWithOneShard) {
   // set_shards(2) rejects a zero floor, but set_shards(1) must accept it
-  // (unbounded lookahead needs no latency promise) and still match the
-  // legacy loop bit for bit — including same-tick deliveries.
+  // (unbounded lookahead needs no latency promise), and shards 0 must run
+  // the same one-shard engine bit for bit — including same-tick
+  // deliveries, which land in the bucket being drained.
   NetworkConfig net;
   net.gst = 0;
   net.min_delay = 0;
   net.max_delay = 4;
   net.seed = 5;
-  const HetRun legacy = run_het(0, net, 2'000);
-  const HetRun windowed = run_het(1, net, 2'000);
-  EXPECT_EQ(legacy.metrics, windowed.metrics);
-  EXPECT_EQ(legacy.fingerprint, windowed.fingerprint);
-  EXPECT_EQ(legacy.logs, windowed.logs);
-  EXPECT_EQ(legacy.end, windowed.end);
+  const HetRun zero = run_het(0, net, 2'000);
+  const HetRun one = run_het(1, net, 2'000);
+  EXPECT_EQ(zero.metrics, one.metrics);
+  EXPECT_EQ(zero.fingerprint, one.fingerprint);
+  EXPECT_EQ(zero.logs, one.logs);
+  EXPECT_EQ(zero.end, one.end);
 }
 
 // ---------------------------------------------------------------------------
 // Identity: lookahead must change window schedules, never results.
 
+TEST(LookaheadIdentityTest, ZeroLatencyIntraShardLanesAreShardInvariant) {
+  // The (id -> id+2) lanes have a zero latency floor, so deliveries land
+  // at their send tick in the bucket being drained, behind the batch they
+  // were sent from. Under an even/odd split every such lane stays inside
+  // one shard, which makes shards {0, 1, 2} legal — and identical.
+  NetworkConfig net = het_net(13);
+  for (auto& lane : net.link_overrides) {
+    lane.min_delay = 0;
+    lane.max_delay = 2;
+  }
+  const HetRun base = run_het(1, net, 5'000);
+  for (std::size_t shards : {0u, 2u}) {
+    const HetRun run = run_het(shards, net, 5'000);
+    EXPECT_EQ(run.metrics, base.metrics) << "shards=" << shards;
+    EXPECT_EQ(run.fingerprint, base.fingerprint) << "shards=" << shards;
+    EXPECT_EQ(run.logs, base.logs) << "shards=" << shards;
+    EXPECT_EQ(run.end, base.end) << "shards=" << shards;
+  }
+}
+
 TEST(LookaheadIdentityTest, HetLinksPartitionsAndLossAcrossShardCounts) {
   // The full feature set at once: heterogeneous links, a partition window,
-  // pre-GST loss and duplication (the four-draw plan). run_for drains the
-  // same event set in every mode, so legacy participates too.
+  // pre-GST loss and duplication (the four-draw plan), under run_for and
+  // under run_until (stopping mid-run at a checkpoint-grid point).
   NetworkConfig net = het_net(23);
   net.gst = 400;
   net.pre_gst_max_delay = 60;
@@ -251,47 +274,23 @@ TEST(LookaheadIdentityTest, HetLinksPartitionsAndLossAcrossShardCounts) {
   cut.heal = 400;
   net.partitions.push_back(cut);
 
-  const HetRun base = run_het(1, net);
-  ASSERT_NE(base.fingerprint, 0u);
-  ASSERT_GT(base.metrics.messages_dropped, 0u);
-  ASSERT_GT(base.metrics.messages_duplicated, 0u);
-  for (std::size_t shards : {0u, 2u, 3u, 8u}) {
-    const HetRun run = run_het(shards, net);
-    EXPECT_EQ(run.metrics, base.metrics) << "shards=" << shards;
-    EXPECT_EQ(run.fingerprint, base.fingerprint) << "shards=" << shards;
-    EXPECT_EQ(run.logs, base.logs) << "shards=" << shards;
-    EXPECT_EQ(run.end, base.end) << "shards=" << shards;
+  for (std::size_t receipts : {0u, 300u}) {
+    const HetRun base = run_het(1, net, 100'000, receipts);
+    ASSERT_NE(base.fingerprint, 0u);
+    ASSERT_GT(base.metrics.messages_dropped, 0u);
+    ASSERT_GT(base.metrics.messages_duplicated, 0u);
+    for (std::size_t shards : {0u, 2u, 3u, 8u}) {
+      const HetRun run = run_het(shards, net, 100'000, receipts);
+      EXPECT_EQ(run.metrics, base.metrics)
+          << "shards=" << shards << " receipts=" << receipts;
+      EXPECT_EQ(run.fingerprint, base.fingerprint)
+          << "shards=" << shards << " receipts=" << receipts;
+      EXPECT_EQ(run.logs, base.logs)
+          << "shards=" << shards << " receipts=" << receipts;
+      EXPECT_EQ(run.end, base.end)
+          << "shards=" << shards << " receipts=" << receipts;
+    }
   }
-}
-
-TEST(LookaheadIdentityTest, GlobalMinBaselineIsBitIdenticalButSlower) {
-  // The E15 A/B in test form: per-pair lookahead vs the pre-lookahead
-  // global floor. Identical observables; on this topology the per-pair
-  // windows must be at least twice as wide (and at most half as many),
-  // and the fast intra-shard lanes must take the provisional path.
-  NetworkConfig perpair = het_net(9);
-  NetworkConfig global = perpair;
-  global.lookahead_global_min = true;
-
-  const HetRun wide = run_het(2, perpair);
-  const HetRun narrow = run_het(2, global);
-  EXPECT_EQ(wide.metrics, narrow.metrics);
-  EXPECT_EQ(wide.fingerprint, narrow.fingerprint);
-  EXPECT_EQ(wide.logs, narrow.logs);
-  EXPECT_EQ(wide.end, narrow.end);
-
-  ASSERT_GT(wide.stats.windows, 0u);
-  ASSERT_GT(narrow.stats.windows, 0u);
-  EXPECT_GE(narrow.stats.windows, 2 * wide.stats.windows)
-      << "per-pair lookahead should at least halve the window count";
-  const double wide_avg = static_cast<double>(wide.stats.window_width_sum) /
-                          static_cast<double>(wide.stats.windows);
-  const double narrow_avg =
-      static_cast<double>(narrow.stats.window_width_sum) /
-      static_cast<double>(narrow.stats.windows);
-  EXPECT_GE(wide_avg, 2.0 * narrow_avg);
-  EXPECT_GT(wide.stats.provisional_sends, 0u);
-  EXPECT_GT(wide.stats.inline_verdicts, 0u);
 }
 
 TEST(LookaheadIdentityTest, ScenarioGridBothProtocolsThroughRunUntil) {
@@ -313,7 +312,7 @@ TEST(LookaheadIdentityTest, ScenarioGridBothProtocolsThroughRunUntil) {
     cfg.shards = 1;
     const core::ScenarioReport base = core::run_scenario(cfg);
     ASSERT_TRUE(base.all_decided) << "protocol=" << static_cast<int>(protocol);
-    for (std::size_t shards : {2u, 3u, 8u}) {
+    for (std::size_t shards : {0u, 2u, 3u, 8u}) {
       cfg.shards = shards;
       const core::ScenarioReport run = core::run_scenario(cfg);
       EXPECT_EQ(run.notary_fingerprint, base.notary_fingerprint)
@@ -401,23 +400,23 @@ TEST(DrawPlanTest, ReplayReproducesEveryVerdictDrawForDraw) {
   const std::vector<SendRecord> live = record_run(1, net);
   ASSERT_FALSE(live.empty());
 
-  // Per-sender histories are identical between the legacy loop and the
-  // windowed engine (global interleave may differ, each sender's own send
-  // order may not).
-  const std::vector<SendRecord> legacy = record_run(0, net);
+  // Per-sender histories are identical between the two single-threaded
+  // selectors (the global interleave of verdict calls is free to differ,
+  // each sender's own send order is not).
+  const std::vector<SendRecord> zero = record_run(0, net);
   auto by_sender = [](const std::vector<SendRecord>& all) {
     std::vector<std::vector<SendRecord>> out(kHetN);
     for (const SendRecord& r : all) out[r.from].push_back(r);
     return out;
   };
   const auto live_by = by_sender(live);
-  const auto legacy_by = by_sender(legacy);
+  const auto zero_by = by_sender(zero);
   for (ProcessId sender = 0; sender < kHetN; ++sender) {
-    ASSERT_EQ(live_by[sender].size(), legacy_by[sender].size())
+    ASSERT_EQ(live_by[sender].size(), zero_by[sender].size())
         << "sender " << sender;
     for (std::size_t i = 0; i < live_by[sender].size(); ++i) {
       const SendRecord& a = live_by[sender][i];
-      const SendRecord& b = legacy_by[sender][i];
+      const SendRecord& b = zero_by[sender][i];
       EXPECT_EQ(a.to, b.to);
       EXPECT_EQ(a.now, b.now);
       EXPECT_EQ(a.pos_before, b.pos_before);
@@ -454,7 +453,7 @@ TEST(DrawPlanTest, ReplayReproducesEveryVerdictDrawForDraw) {
 }
 
 /// Declares a one-draw plan but consumes two: the per-send enforcement in
-/// enqueue_send must catch it (in every execution mode).
+/// enqueue_send must catch it.
 class LyingModel final : public NetworkModel {
  public:
   Verdict on_send(ProcessId, ProcessId, SimTime now,

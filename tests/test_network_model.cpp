@@ -1,6 +1,6 @@
 // The pluggable link layer (sim::NetworkModel) and the staged-participation
 // runtime: link overrides, partition schedules, pre-GST loss/duplication,
-// crash(id) vs isolate(id), and activate(id, t) mailbox semantics.
+// crash(id) / crash_at(id, t), and activate(id, t) mailbox semantics.
 #include "sim/network_model.hpp"
 
 #include <gtest/gtest.h>
@@ -279,19 +279,6 @@ TEST(CrashTest, CrashAtGenesisSuppressesStart) {
   EXPECT_EQ(t.ticks, 0);
   EXPECT_TRUE(r.deliveries.empty());
   EXPECT_EQ(sim.metrics().messages_sent, 0u);
-}
-
-TEST(CrashTest, IsolateKeepsTheProcessRunningUnlikeCrash) {
-  // isolate() is the partition-style legacy fault: deliveries stop but the
-  // process keeps ticking and sending.
-  Simulation sim(2, sync_net());
-  auto& t = sim.emplace_process<Ticker>(0, 1);
-  sim.emplace_process<Recorder>(1);
-  sim.isolate(0);
-  sim.start();
-  sim.run_for(500);
-  EXPECT_GT(t.ticks, 10);  // still running (and still sending)
-  EXPECT_GT(sim.metrics().messages_sent, 10u);
 }
 
 // ---- activate(id, t): staged participant arrival ----

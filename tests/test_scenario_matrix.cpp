@@ -102,8 +102,11 @@ TEST(DeterminismTest, SameSeedSameMetricsAndNotaryLog) {
   ASSERT_FALSE(log_a.empty());
   EXPECT_EQ(log_a, log_b);
 
-  const auto [metrics_c, log_c] = run(8);  // different seed, different run
-  EXPECT_NE(log_a, log_c);
+  // A different network seed gives a different run. The sign logs record
+  // what each process signed, in its own order, which for this workload
+  // does not depend on message delays; the traffic does.
+  const auto [metrics_c, log_c] = run(8);
+  EXPECT_NE(metrics_a, metrics_c);
 }
 
 TEST(DeterminismTest, RunScenarioIsAPureFunctionOfItsConfig) {

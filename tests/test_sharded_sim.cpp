@@ -1,17 +1,18 @@
-// Shard-count invariance suite for the windowed sharded engine: for every
-// workload here, running with shards in {1, 2, 3, 8} must produce
-// bit-identical observables — SimMetrics, the Notary sign log fingerprint,
-// per-process receipt logs, ledger chain digests — because the engine's
-// contract is that sharding changes wall-clock time and nothing else.
-// run_for() drains the same event set as the legacy serial loop, so those
-// tests additionally pin sharded == legacy; run_until() scenarios compare
-// shards >= 2 against the shards == 1 windowed baseline (barrier-granular
-// stops are identical across shard counts but not vs the per-event legacy
-// stop).
+// Shard-count invariance suite for the event engine: for every workload
+// here, running with shards in {0, 1, 2, 3, 8} must produce bit-identical
+// observables — SimMetrics, the Notary sign-log fingerprint, per-process
+// receipt logs, ledger chain digests, end time — under both run_for and
+// run_until, because the engine's contract is that the shard count
+// changes wall-clock time and nothing else. shards == 1 is the base every
+// other count is compared against; shards == 0 selects the same one-shard
+// engine.
 #include "sim/simulation.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -41,9 +42,8 @@ struct GossipMsg final : Message {
 };
 
 /// Fans gossip across the ring, signing every receipt, re-arming short
-/// timers (delays below the window width, so the sharded engine must take
-/// its provisional-event path) and spawning follow-up sends — a workload
-/// that exercises every staged-effect kind at once.
+/// timers (delays below the window width, some zero) and spawning
+/// follow-up sends — a workload that exercises every effect kind at once.
 class GossipNode : public Process {
  public:
   GossipNode(std::size_t n, int ttl) : n_(n), ttl0_(ttl) {}
@@ -89,16 +89,54 @@ struct GossipRun {
 };
 
 constexpr std::size_t kGossipN = 24;
+/// The shard counts every identity test sweeps; shards == 1 is the base.
+constexpr std::size_t kOtherShardCounts[] = {0, 2, 3, 8};
 
-GossipRun run_gossip(std::size_t shards, const NetworkConfig& net) {
+/// How a run is driven: run_for drains every event up to the deadline;
+/// run_until stops at the first checkpoint-grid point (checked every
+/// `stride` events or more) where enough receipts have been logged.
+enum class Drive { kRunFor, kRunUntil };
+
+const char* drive_name(Drive drive) {
+  return drive == Drive::kRunFor ? "run_for" : "run_until";
+}
+
+std::size_t receipts(const std::vector<GossipNode*>& nodes) {
+  std::size_t total = 0;
+  for (const auto* node : nodes) total += node->log_.size();
+  return total;
+}
+
+void advance(Simulation& sim, Drive drive, SimTime deadline,
+             const std::vector<GossipNode*>& nodes, std::size_t target) {
+  if (drive == Drive::kRunFor) {
+    sim.run_for(deadline);
+    return;
+  }
+  sim.run_until([&] { return receipts(nodes) >= target; }, deadline,
+                /*stride=*/5);
+}
+
+/// Runs the gossip workload. Crashes in `before` are scheduled before
+/// start(); with crashes in `after`, the run first advances to tick 15
+/// (or 60 receipts), schedules them, then continues.
+GossipRun run_gossip(
+    std::size_t shards, const NetworkConfig& net, Drive drive = Drive::kRunFor,
+    const std::vector<std::pair<ProcessId, SimTime>>& before = {},
+    const std::vector<std::pair<ProcessId, SimTime>>& after = {}) {
   Simulation sim(kGossipN, net);
   std::vector<GossipNode*> nodes;
   for (ProcessId i = 0; i < kGossipN; ++i) {
     nodes.push_back(&sim.emplace_process<GossipNode>(i, kGossipN, 6));
   }
+  for (const auto& [who, when] : before) sim.crash_at(who, when);
   sim.set_shards(shards);
   sim.start();
-  sim.run_for(100'000);
+  if (!after.empty()) {
+    advance(sim, drive, 15, nodes, 60);
+    for (const auto& [who, when] : after) sim.crash_at(who, sim.now() + when);
+  }
+  advance(sim, drive, 100'000, nodes, 400);
   GossipRun out;
   out.metrics = sim.metrics();
   out.fingerprint = sim.notary().fingerprint();
@@ -106,6 +144,19 @@ GossipRun run_gossip(std::size_t shards, const NetworkConfig& net) {
   out.stats = sim.shard_stats();
   out.end = sim.now();
   return out;
+}
+
+void expect_identical(const GossipRun& run, const GossipRun& base,
+                      std::size_t shards, Drive drive) {
+  EXPECT_EQ(run.metrics, base.metrics)
+      << "metrics diverged at shards=" << shards << " " << drive_name(drive);
+  EXPECT_EQ(run.fingerprint, base.fingerprint)
+      << "sign logs diverged at shards=" << shards << " "
+      << drive_name(drive);
+  EXPECT_EQ(run.logs, base.logs)
+      << "receipts diverged at shards=" << shards << " " << drive_name(drive);
+  EXPECT_EQ(run.end, base.end)
+      << "end time diverged at shards=" << shards << " " << drive_name(drive);
 }
 
 TEST(ShardedSimulationTest, SetShardsAfterStartThrows) {
@@ -121,79 +172,66 @@ TEST(ShardedSimulationTest, RejectsModelsWithoutMinimumLatency) {
   // cross-shard lookahead the engine needs for shards >= 2.
   Simulation sim(2, gossip_net(0, 5, 1));
   EXPECT_THROW(sim.set_shards(2), std::invalid_argument);
-  sim.set_shards(0);  // legacy loop needs no latency floor
+  sim.set_shards(1);  // one shard has no cross-shard pairs to bound
+  sim.set_shards(0);
 }
 
 TEST(ShardedSimulationTest, WindowedMatchesLegacyOnFullDrain) {
+  // shards == 0, the default, selects exactly the one-shard engine that
+  // shards == 1 does: same observables, same window schedule.
   const NetworkConfig net = gossip_net(1, 7, 42);
-  const GossipRun legacy = run_gossip(0, net);
-  const GossipRun windowed = run_gossip(1, net);
-  EXPECT_EQ(legacy.metrics, windowed.metrics);
-  EXPECT_EQ(legacy.fingerprint, windowed.fingerprint);
-  EXPECT_EQ(legacy.logs, windowed.logs);
-  EXPECT_EQ(legacy.end, windowed.end);
-  // Legacy runs report zeroed shard stats; the windowed run worked.
-  EXPECT_EQ(legacy.stats.windows, 0u);
-  EXPECT_EQ(legacy.stats.shards, 0u);
-  EXPECT_GT(windowed.stats.windows, 0u);
-  EXPECT_EQ(windowed.stats.shards, 1u);
+  const GossipRun zero = run_gossip(0, net);
+  const GossipRun one = run_gossip(1, net);
+  expect_identical(zero, one, 0, Drive::kRunFor);
+  EXPECT_GT(one.stats.windows, 0u);
+  EXPECT_EQ(zero.stats.windows, one.stats.windows);
+  EXPECT_EQ(zero.stats.shards, 1u);
+  EXPECT_EQ(one.stats.shards, 1u);
+  EXPECT_EQ(zero.stats.staged_ops, 0u);  // nothing crosses one shard
 }
 
 TEST(ShardedSimulationTest, ShardCountInvarianceAcrossSeeds) {
-  for (std::uint64_t seed : {3u, 19u}) {
-    const NetworkConfig net = gossip_net(2, 9, seed);
-    const GossipRun base = run_gossip(1, net);
-    ASSERT_NE(base.fingerprint, 0u);
-    for (std::size_t shards : {2u, 3u, 8u}) {
-      const GossipRun run = run_gossip(shards, net);
-      EXPECT_EQ(run.metrics, base.metrics)
-          << "metrics diverged at shards=" << shards << " seed=" << seed;
-      EXPECT_EQ(run.fingerprint, base.fingerprint)
-          << "sign log diverged at shards=" << shards << " seed=" << seed;
-      EXPECT_EQ(run.logs, base.logs)
-          << "receipts diverged at shards=" << shards << " seed=" << seed;
-      EXPECT_EQ(run.end, base.end);
-      EXPECT_EQ(run.stats.shards, shards);
-      // The window *schedule* legitimately depends on the shard count (the
-      // per-shard lookahead does) — only the observables above may not.
-      EXPECT_GT(run.stats.windows, 0u);
-      // Every send inside a window is an inline (send-time) verdict; only
-      // the pre-start serial sends are not. The barrier does no RNG work.
-      EXPECT_GT(run.stats.inline_verdicts, 0u);
-      EXPECT_LE(run.stats.inline_verdicts, run.metrics.messages_sent);
+  for (Drive drive : {Drive::kRunFor, Drive::kRunUntil}) {
+    for (std::uint64_t seed : {3u, 19u}) {
+      const NetworkConfig net = gossip_net(2, 9, seed);
+      const GossipRun base = run_gossip(1, net, drive);
+      ASSERT_NE(base.fingerprint, 0u);
+      for (std::size_t shards : kOtherShardCounts) {
+        const GossipRun run = run_gossip(shards, net, drive);
+        expect_identical(run, base, shards, drive);
+        EXPECT_EQ(run.stats.shards, std::max<std::size_t>(shards, 1));
+        // The window *schedule* legitimately depends on the shard count
+        // (the per-shard lookahead does) — only the observables above may
+        // not. Cross-shard effects wait for the barrier.
+        EXPECT_GT(run.stats.windows, 0u);
+        if (shards >= 2) {
+          EXPECT_GT(run.stats.staged_ops, 0u);
+        }
+      }
     }
   }
 }
 
 TEST(ShardedSimulationTest, ProvisionalTimersStayInWindow) {
   // min_delay = 3 makes the window 3 ticks wide; gossip timers use delays
-  // 0..3, so sub-window timers must run provisionally inside the window
-  // rather than waiting for a barrier — and the result must not change.
+  // 0..3, so most timers fire inside the window that armed them — they go
+  // straight into the owning shard's queue — and zero-delay timers land in
+  // the bucket being drained. The result must not change.
   const NetworkConfig net = gossip_net(3, 11, 7);
   const GossipRun base = run_gossip(1, net);
-  const GossipRun sharded = run_gossip(4, net);
-  EXPECT_EQ(sharded.metrics, base.metrics);
-  EXPECT_EQ(sharded.fingerprint, base.fingerprint);
-  EXPECT_EQ(sharded.logs, base.logs);
-  EXPECT_GT(base.stats.provisional_events, 0u);
-  EXPECT_GT(sharded.stats.provisional_events, 0u);
-  // Legacy full drain agrees as well.
-  const GossipRun legacy = run_gossip(0, net);
-  EXPECT_EQ(legacy.metrics, base.metrics);
-  EXPECT_EQ(legacy.fingerprint, base.fingerprint);
-  EXPECT_EQ(legacy.logs, base.logs);
+  for (std::size_t shards : {0u, 4u}) {
+    expect_identical(run_gossip(shards, net), base, shards, Drive::kRunFor);
+  }
 }
 
 /// Overrides the batched upcall to count how the engine groups same-tick
-/// deliveries, forwarding each delivery through the documented
-/// begin_delivery + on_message protocol.
+/// deliveries, forwarding each delivery through on_message.
 class FanInNode : public Process {
  public:
   void on_messages(Delivery* batch, std::size_t count) override {
     ++upcalls_;
     largest_batch_ = std::max(largest_batch_, count);
     for (std::size_t i = 0; i < count; ++i) {
-      begin_delivery(batch[i]);
       on_message(batch[i].from, batch[i].msg);
     }
   }
@@ -223,9 +261,9 @@ class BlastNode : public Process {
 };
 
 TEST(ShardedSimulationTest, SameTickDeliveriesBatchIntoOneUpcall) {
-  // A fixed-delay net lands every blast in the same tick: the sharded
-  // engine must hand process 0 one upcall covering all of them, in the
-  // exact order the legacy loop would deliver them.
+  // A fixed-delay net lands every blast in the same tick: the engine must
+  // hand process 0 one upcall covering all of them, in key order, under
+  // every shard count.
   NetworkConfig net = gossip_net(5, 5, 11);
   constexpr int kSenders = 6;
   constexpr int kEach = 4;
@@ -241,48 +279,115 @@ TEST(ShardedSimulationTest, SameTickDeliveriesBatchIntoOneUpcall) {
     return std::make_tuple(sink.upcalls_, sink.largest_batch_, sink.order_,
                            sim.shard_stats(), sim.metrics());
   };
-  const auto [legacy_up, legacy_max, legacy_order, legacy_stats,
-              legacy_metrics] = run(0);
-  const auto [up, max_batch, order, stats, metrics] = run(2);
-  // Legacy delivers one message per upcall; sharded groups the whole tick.
-  EXPECT_EQ(legacy_up, std::size_t{kSenders * kEach});
-  EXPECT_EQ(legacy_max, 1u);
-  EXPECT_EQ(up, 1u);
-  EXPECT_EQ(max_batch, std::size_t{kSenders * kEach});
-  EXPECT_EQ(order, legacy_order);
-  EXPECT_EQ(metrics, legacy_metrics);
-  EXPECT_EQ(stats.batch_upcalls, 1u);
-  EXPECT_EQ(stats.batched_messages, std::size_t{kSenders * kEach});
+  const auto [base_up, base_max, base_order, base_stats, base_metrics] =
+      run(0);
+  EXPECT_EQ(base_up, 1u);
+  EXPECT_EQ(base_max, std::size_t{kSenders * kEach});
+  for (std::size_t shards : {1u, 2u, 3u}) {
+    const auto [up, max_batch, order, stats, metrics] = run(shards);
+    EXPECT_EQ(up, 1u) << "shards=" << shards;
+    EXPECT_EQ(max_batch, std::size_t{kSenders * kEach});
+    EXPECT_EQ(order, base_order) << "shards=" << shards;
+    EXPECT_EQ(metrics, base_metrics) << "shards=" << shards;
+    EXPECT_EQ(stats.batch_upcalls, 1u);
+    EXPECT_EQ(stats.batched_messages, std::size_t{kSenders * kEach});
+  }
+}
+
+/// One role per process in the zero-delay ordering scenario below.
+class TickTenNode : public Process {
+ public:
+  void start() override {
+    if (id() == 1) set_timer(1, 7);   // re-armed at 7 to fire at 10
+    if (id() == 2) set_timer(2, 10);  // key (10, sent 0): pops first
+    if (id() == 3) set_timer(3, 5);   // sends the 5-tick message to 0
+  }
+  void on_timer(int timer_id) override {
+    log_.push_back(timer_id);
+    if (timer_id == 1) set_timer(4, 3);
+    if (timer_id == 2) send(0, make_message<GossipMsg>(0, 20));
+    if (timer_id == 3) send(0, make_message<GossipMsg>(0, 30));
+  }
+  void on_message(ProcessId, const MessagePtr& msg) override {
+    const auto& g = dynamic_cast<const GossipMsg&>(*msg);
+    log_.push_back(static_cast<int>(g.tag));
+    if (g.tag == 30) set_timer(9, 0);  // zero-delay: key (10, 10, 0, k)
+  }
+  std::vector<int> log_;
+};
+
+TEST(ShardedSimulationTest, ZeroDelayEffectsKeepKeyOrderAcrossBatches) {
+  // At tick 10, process 0 receives message 30 (sent at 5) and message 20
+  // (sent at 10 by process 2 over a zero-latency link). Handling 30 arms a
+  // zero-delay timer whose key (10, 10, origin 0) sorts before message 20
+  // (10, 10, origin 2), so the timer must run between the two messages.
+  // At shards 2 the two messages are adjacent in shard 0's queue; at
+  // shards 1 process 1's timer (10, 7) sits between them. A batch that
+  // took message 20 along with message 30 would run the timer last, and
+  // only at shards 2.
+  NetworkConfig net = gossip_net(5, 5, 3);
+  net.link_overrides.push_back({2, 0, 0, 0});
+  for (std::size_t shards : {0u, 1u, 2u}) {
+    Simulation sim(4, net);
+    auto& target = sim.emplace_process<TickTenNode>(0);
+    for (ProcessId i = 1; i < 4; ++i) sim.emplace_process<TickTenNode>(i);
+    sim.set_shards(shards);
+    sim.start();
+    sim.run_for(100);
+    EXPECT_EQ(target.log_, (std::vector<int>{30, 9, 20}))
+        << "shards=" << shards;
+  }
 }
 
 TEST(ShardedSimulationTest, ScheduledCrashRoutesThroughTheEngine) {
+  // crash_at before start(): the engine-origin crash events sort ahead of
+  // same-tick process events on every shard count.
   const NetworkConfig net = gossip_net(1, 6, 23);
-  auto run = [&](std::size_t shards) {
-    Simulation sim(kGossipN, net);
-    std::vector<GossipNode*> nodes;
-    for (ProcessId i = 0; i < kGossipN; ++i) {
-      nodes.push_back(&sim.emplace_process<GossipNode>(i, kGossipN, 6));
+  const std::vector<std::pair<ProcessId, SimTime>> crashes = {{3, 10},
+                                                              {7, 25}};
+  for (Drive drive : {Drive::kRunFor, Drive::kRunUntil}) {
+    const GossipRun base = run_gossip(1, net, drive, crashes);
+    for (std::size_t shards : kOtherShardCounts) {
+      expect_identical(run_gossip(shards, net, drive, crashes), base, shards,
+                       drive);
     }
-    sim.crash_at(3, 10);
-    sim.crash_at(7, 25);
-    sim.set_shards(shards);
-    sim.start();
-    sim.run_for(100'000);
-    GossipRun out;
-    out.metrics = sim.metrics();
-    out.fingerprint = sim.notary().fingerprint();
-    for (auto* node : nodes) out.logs.push_back(node->log_);
-    return out;
-  };
-  const GossipRun legacy = run(0);
-  const GossipRun base = run(1);
-  const GossipRun sharded = run(3);
-  EXPECT_EQ(base.metrics, legacy.metrics);
-  EXPECT_EQ(base.fingerprint, legacy.fingerprint);
-  EXPECT_EQ(base.logs, legacy.logs);
-  EXPECT_EQ(sharded.metrics, base.metrics);
-  EXPECT_EQ(sharded.fingerprint, base.fingerprint);
-  EXPECT_EQ(sharded.logs, base.logs);
+  }
+}
+
+TEST(ShardedSimulationTest, CrashAtAfterStartIsShardInvariant) {
+  // crash_at between runs, relative to where the first run stopped (a
+  // checkpoint-grid point under run_until): one crash at the stop tick
+  // itself, one later.
+  const NetworkConfig net = gossip_net(1, 6, 31);
+  const std::vector<std::pair<ProcessId, SimTime>> crashes = {{5, 0},
+                                                              {10, 9}};
+  for (Drive drive : {Drive::kRunFor, Drive::kRunUntil}) {
+    const GossipRun base = run_gossip(1, net, drive, {}, crashes);
+    const GossipRun uncrashed = run_gossip(1, net, drive);
+    EXPECT_NE(base.metrics, uncrashed.metrics) << drive_name(drive);
+    for (std::size_t shards : kOtherShardCounts) {
+      expect_identical(run_gossip(shards, net, drive, {}, crashes), base,
+                       shards, drive);
+    }
+  }
+}
+
+TEST(ShardedSimulationTest, PreGstDuplicationIsShardInvariant) {
+  // Before GST a message may be delivered twice: both copies carry the
+  // same send tick and origin, told apart by the origin counter.
+  NetworkConfig net = gossip_net(2, 9, 5);
+  net.gst = 200;
+  net.pre_gst_max_delay = 40;
+  net.pre_gst_duplicate = 0.3;
+  net.pre_gst_drop = 0.1;
+  for (Drive drive : {Drive::kRunFor, Drive::kRunUntil}) {
+    const GossipRun base = run_gossip(1, net, drive);
+    ASSERT_GT(base.metrics.messages_duplicated, 0u) << drive_name(drive);
+    ASSERT_GT(base.metrics.messages_dropped, 0u) << drive_name(drive);
+    for (std::size_t shards : kOtherShardCounts) {
+      expect_identical(run_gossip(shards, net, drive), base, shards, drive);
+    }
+  }
 }
 
 }  // namespace
@@ -305,11 +410,13 @@ bool reports_identical(const ScenarioReport& a, const ScenarioReport& b) {
          a.end_time == b.end_time;
 }
 
+constexpr std::size_t kOtherShardCounts[] = {0, 2, 3, 8};
+
 TEST(ShardedScenarioTest, EveryShardCountMatchesTheWindowedBaseline) {
-  // Satellite: fuzz shard counts across both protocols and several seeds on
-  // the E12 churn + partition family. Every cell must decide and every
-  // shards >= 2 report must be bit-identical (fingerprint included) to the
-  // shards == 1 windowed run of the same config.
+  // Fuzz shard counts across both protocols and several seeds on the E12
+  // churn + partition family (run_until through run_scenario). Every cell
+  // must decide and every report must be bit-identical (fingerprint
+  // included) to the shards == 1 run of the same config.
   for (ProtocolKind protocol :
        {ProtocolKind::kStellarSd, ProtocolKind::kBftCup}) {
     for (std::uint64_t seed : {1u, 2u}) {
@@ -328,55 +435,63 @@ TEST(ShardedScenarioTest, EveryShardCountMatchesTheWindowedBaseline) {
       EXPECT_TRUE(base.all_decided);
       EXPECT_TRUE(base.agreement);
       EXPECT_NE(base.notary_fingerprint, 0u);
-      for (std::size_t shards : {2u, 3u, 8u}) {
+      for (std::size_t shards : kOtherShardCounts) {
         cfg.shards = shards;
         const ScenarioReport r = run_scenario(cfg);
         EXPECT_TRUE(reports_identical(r, base))
             << "shards=" << shards << " seed=" << seed << " protocol="
-            << static_cast<int>(protocol)
-            << " diverged from the windowed baseline";
+            << static_cast<int>(protocol) << " diverged from shards=1";
       }
     }
   }
 }
 
 TEST(ShardedScenarioTest, AllMatrixShapesAreShardInvariant) {
-  // The four E12 shapes (churn / +partition / +loss / +crash) each stress a
-  // different engine path: mailbox activation, partition heal verdicts,
-  // drop replay through the deferred RNG, and external crash events.
-  for (int shape = 0; shape < 4; ++shape) {
-    ChurnPartitionParams p;
-    p.n = 12;
-    p.f = 1;
-    p.gst = 1'500;
-    p.late_window = 1'000;
-    p.seed = 5;
-    p.with_partition = shape >= 1;
-    if (shape == 2) p.pre_gst_drop = 0.2;
-    p.with_crash = shape == 3;
-    ScenarioConfig cfg = churn_partition_scenario(p);
-    cfg.shards = 1;
-    const ScenarioReport base = run_scenario(cfg);
-    EXPECT_TRUE(base.all_decided) << "shape=" << shape;
-    cfg.shards = 2;
-    const ScenarioReport sharded = run_scenario(cfg);
-    EXPECT_TRUE(reports_identical(sharded, base))
-        << "shape=" << shape << " diverged between shards=1 and shards=2";
+  // The four E12 shapes (churn / +partition / +loss / +crash) x both
+  // protocols, each stressing a different engine path: mailbox
+  // activation, partition heal verdicts, dropped sends, and engine-origin
+  // crash events.
+  for (ProtocolKind protocol :
+       {ProtocolKind::kStellarSd, ProtocolKind::kBftCup}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      ChurnPartitionParams p;
+      p.n = 12;
+      p.f = 1;
+      p.protocol = protocol;
+      p.gst = 1'500;
+      p.late_window = 1'000;
+      p.seed = 5;
+      p.with_partition = shape >= 1;
+      if (shape == 2) p.pre_gst_drop = 0.2;
+      p.with_crash = shape == 3;
+      ScenarioConfig cfg = churn_partition_scenario(p);
+      cfg.shards = 1;
+      const ScenarioReport base = run_scenario(cfg);
+      EXPECT_TRUE(base.all_decided) << "shape=" << shape;
+      for (std::size_t shards : kOtherShardCounts) {
+        cfg.shards = shards;
+        EXPECT_TRUE(reports_identical(run_scenario(cfg), base))
+            << "shape=" << shape << " protocol=" << static_cast<int>(protocol)
+            << " diverged between shards=1 and shards=" << shards;
+      }
+    }
   }
 }
 
 TEST(ShardedScenarioTest, LedgerChainsAndZeroCopyWrapsAreShardInvariant) {
-  // Multi-slot SCP through the sharded engine: chains must match across
-  // replicas and across shard counts, and the SlotHost shared-wrap cache
-  // must be serving broadcasts (the zero-copy envelope path).
+  // Multi-slot SCP through the engine: chains must match across replicas
+  // and across shard counts under both drives, and the SlotHost
+  // shared-wrap cache must be serving broadcasts (the zero-copy envelope
+  // path).
   const auto g = graph::fig2_graph();
   constexpr std::uint64_t kSlots = 3;
   struct LedgerRun {
     std::uint64_t digest = 0;
     std::uint64_t fingerprint = 0;
     sim::SimMetrics metrics;
+    SimTime end = 0;
   };
-  auto run = [&](std::size_t shards) {
+  auto run = [&](std::size_t shards, bool until) {
     sim::NetworkConfig net;
     net.seed = 17;
     net.min_delay = 1;
@@ -387,37 +502,46 @@ TEST(ShardedScenarioTest, LedgerChainsAndZeroCopyWrapsAreShardInvariant) {
       nodes.push_back(
           &sim.emplace_process<LedgerNode>(i, g.pd_of(i), 1, kSlots));
     }
+    auto chains_done = [&] {
+      for (auto* node : nodes) {
+        if (node->decided_slots() < kSlots) return false;
+      }
+      return true;
+    };
     sim.set_shards(shards);
     sim.start();
-    const bool done = sim.run_until(
-        [&] {
-          for (auto* node : nodes) {
-            if (node->decided_slots() < kSlots) return false;
-          }
-          return true;
-        },
-        3'000'000);
-    EXPECT_TRUE(done) << "shards=" << shards;
+    if (until) {
+      sim.run_until(chains_done, 3'000'000);
+    } else {
+      sim.run_for(20'000);
+    }
+    EXPECT_TRUE(chains_done()) << "shards=" << shards << " until=" << until;
     LedgerRun out;
     out.digest = nodes[0]->chain_digest();
     for (auto* node : nodes) EXPECT_EQ(node->chain_digest(), out.digest);
     out.fingerprint = sim.notary().fingerprint();
     out.metrics = sim.metrics();
+    out.end = sim.now();
     return out;
   };
-  const LedgerRun base = run(1);
-  const LedgerRun sharded = run(2);
-  EXPECT_NE(base.digest, 0u);
-  EXPECT_EQ(sharded.digest, base.digest);
-  EXPECT_EQ(sharded.fingerprint, base.fingerprint);
-  EXPECT_EQ(sharded.metrics, base.metrics);
-  const auto shared =
-      base.metrics.protocol_counter(sim::ProtoCounter::kSlotWrapsShared);
-  const auto wraps =
-      base.metrics.protocol_counter(sim::ProtoCounter::kSlotWraps);
-  EXPECT_GT(wraps, 0u);
-  // Broadcasts go to several peers: most sends must hit the cache.
-  EXPECT_GT(shared, wraps);
+  for (bool until : {false, true}) {
+    const LedgerRun base = run(1, until);
+    EXPECT_NE(base.digest, 0u);
+    for (std::size_t shards : kOtherShardCounts) {
+      const LedgerRun r = run(shards, until);
+      EXPECT_EQ(r.digest, base.digest) << "shards=" << shards;
+      EXPECT_EQ(r.fingerprint, base.fingerprint) << "shards=" << shards;
+      EXPECT_EQ(r.metrics, base.metrics) << "shards=" << shards;
+      EXPECT_EQ(r.end, base.end) << "shards=" << shards;
+    }
+    const auto shared =
+        base.metrics.protocol_counter(sim::ProtoCounter::kSlotWrapsShared);
+    const auto wraps =
+        base.metrics.protocol_counter(sim::ProtoCounter::kSlotWraps);
+    EXPECT_GT(wraps, 0u);
+    // Broadcasts go to several peers: most sends must hit the cache.
+    EXPECT_GT(shared, wraps);
+  }
 }
 
 }  // namespace

@@ -344,11 +344,11 @@ TEST(MessagePoolTest, PoolingIsInvisibleToTheDeterminismContract) {
   params.n = 16;
   params.f = 1;
   params.seed = 11;
-  // For every execution mode (legacy serial, windowed, 2-way sharded):
-  // pool on vs. pool off must be bit-identical in every observable —
-  // fingerprint, full SimMetrics, decisions. Fingerprints and decisions
-  // are additionally invariant across the modes themselves (the full
-  // SimMetrics cross-mode identity lives in the E12 shard suites).
+  // For shard counts 0, 1 and 2: pool on vs. pool off must be
+  // bit-identical in every observable — fingerprint, full SimMetrics,
+  // decisions. Fingerprints and decisions are additionally invariant
+  // across the shard counts (the full SimMetrics cross-count identity
+  // lives in the E12 shard suites).
   core::ScenarioReport first;
   bool have_first = false;
   for (const std::size_t shards : {std::size_t{0}, std::size_t{1},

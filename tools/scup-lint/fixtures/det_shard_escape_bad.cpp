@@ -9,6 +9,6 @@ void escape_thread() {
 }
 
 void escape_globals(Sim& sim_) {
-  sim_.next_seq_ += 1;
+  sim_.now_ += 1;
   sim_.metrics_.messages_sent += 1;
 }

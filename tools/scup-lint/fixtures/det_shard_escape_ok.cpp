@@ -2,10 +2,9 @@
 // barrier region, where every shard thread is parked.
 
 void commit(Sim& sim_) {
-  // shard-barrier begin(window commit: staged effects merge while all
-  // shard threads are parked on the pool's join)
-  sim_.next_seq_ += 1;
+  // shard-barrier begin(window commit: outboxed effects are pushed while
+  // all shard threads are parked on the pool's join)
+  sim_.now_ += 1;
   sim_.metrics_.messages_sent += 1;
-  sim_.notary_.append(0, 0);
   // shard-barrier end
 }

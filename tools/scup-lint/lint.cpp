@@ -465,8 +465,7 @@ void rule_shard_escape(const std::string& rel_path, ParsedFile& file,
     const auto regions =
         marker_regions(file.lines, "shard-barrier begin", "shard-barrier end");
     static constexpr std::string_view kGlobals[] = {
-        "next_seq_", "net_streams_", "notary_", "metrics_",
-        "now_",      "queue_",       "started_",
+        "net_streams_", "notary_", "metrics_", "now_", "started_",
     };
     for (std::size_t i = 0; i < file.lines.size(); ++i) {
       const std::string& code = file.lines[i].code;

@@ -24,8 +24,8 @@
 //                           sim/shard_pool (the sharded engine's one
 //                           sanctioned thread owner), or — in sim/shard*
 //                           files — engine-global simulation state
-//                           (next_seq_, net_streams_, notary_, metrics_,
-//                           now_, queue_, started_) touched outside a
+//                           (net_streams_, notary_, metrics_, now_,
+//                           started_) touched outside a
 //                           `// shard-barrier begin(<why>)` ...
 //                           `// shard-barrier end` region. Shard code may
 //                           only touch global state at the window barrier,

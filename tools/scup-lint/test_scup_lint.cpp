@@ -139,7 +139,7 @@ TEST(RuleRawThread, ExemptInsideScenarioMatrix) {
 TEST(RuleShardEscape, FiresOnThreadsAndGlobalsInShardFiles) {
   const auto findings =
       lint_fixture("det_shard_escape_bad.cpp", "src/sim/sharded_engine.cpp");
-  // std::thread spawn, .detach, next_seq_, metrics_.
+  // std::thread spawn, .detach, now_, metrics_.
   EXPECT_EQ(count_rule(findings, kRuleShardEscape), 4u);
   EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 7));
   EXPECT_TRUE(has_finding(findings, kRuleShardEscape, 12));
