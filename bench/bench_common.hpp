@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -187,9 +188,16 @@ inline bool write_bench_summary(const std::string& id,
                  static_cast<long long>(row.iterations), row.real_time,
                  row.cpu_time, json_escape(row.time_unit).c_str());
     for (std::size_t c = 0; c < row.counters.size(); ++c) {
-      std::fprintf(out, "%s\"%s\": %.9g", c > 0 ? ", " : "",
-                   json_escape(row.counters[c].first).c_str(),
-                   row.counters[c].second);
+      // JSON has no NaN/Inf (a repetition aggregate such as the cv of an
+      // all-zero counter is 0/0): write null.
+      const double v = row.counters[c].second;
+      std::fprintf(out, "%s\"%s\": ", c > 0 ? ", " : "",
+                   json_escape(row.counters[c].first).c_str());
+      if (std::isfinite(v)) {
+        std::fprintf(out, "%.9g", v);
+      } else {
+        std::fprintf(out, "null");
+      }
     }
     std::fprintf(out, "}}%s\n", i + 1 < rows.size() ? "," : "");
   }

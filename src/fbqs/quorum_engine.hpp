@@ -58,6 +58,11 @@ struct QuorumEngineStats {
   /// a shared engine aggregates them across slots).
   std::uint64_t support_updates = 0;
   std::uint64_t support_rebuilds = 0;
+  /// Nomination values re-checked by ScpNode::step_nomination (dirty ones
+  /// only), and what a full rescan would have checked (the whole value
+  /// index on every step).
+  std::uint64_t nomination_evals = 0;
+  std::uint64_t nomination_evals_baseline = 0;
 
   bool operator==(const QuorumEngineStats&) const = default;
 };
@@ -114,6 +119,10 @@ class QuorumEngine {
   const QuorumEngineStats& stats() const { return stats_; }
   void count_support_update() { ++stats_.support_updates; }
   void count_support_rebuild() { ++stats_.support_rebuilds; }
+  void count_nomination_evals(std::uint64_t evals, std::uint64_t baseline) {
+    stats_.nomination_evals += evals;
+    stats_.nomination_evals_baseline += baseline;
+  }
 
   /// Test hook for the determinism regression suite: force every unordered
   /// table to rehash, scrambling bucket order. All observable behaviour

@@ -1,5 +1,7 @@
 #include "scp/envelope.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 namespace scup::scp {
@@ -87,16 +89,22 @@ bool accepts_commit(const Statement& s, std::uint32_t n, Value x) {
       s);
 }
 
+bool strictly_ascending(const std::vector<Value>& values) {
+  return std::adjacent_find(values.begin(), values.end(),
+                            std::greater_equal<>()) == values.end();
+}
+
 bool votes_nominate(const Statement& s, Value v) {
   if (const auto* nom = std::get_if<NominateStmt>(&s)) {
-    return nom->voted.count(v) > 0 || nom->accepted.count(v) > 0;
+    return std::binary_search(nom->voted.begin(), nom->voted.end(), v) ||
+           std::binary_search(nom->accepted.begin(), nom->accepted.end(), v);
   }
   return false;
 }
 
 bool accepts_nominate(const Statement& s, Value v) {
   if (const auto* nom = std::get_if<NominateStmt>(&s)) {
-    return nom->accepted.count(v) > 0;
+    return std::binary_search(nom->accepted.begin(), nom->accepted.end(), v);
   }
   return false;
 }
@@ -175,29 +183,26 @@ Ballot get_ballot(sim::WireReader& r) {
   return b;
 }
 
-void put_value_set(sim::WireWriter& w, const std::set<Value>& values) {
+void put_value_set(sim::WireWriter& w, const std::vector<Value>& values) {
   w.u32(static_cast<std::uint32_t>(values.size()));
   for (Value v : values) w.u64(v);
 }
 
-std::set<Value> get_value_set(sim::WireReader& r) {
+std::vector<Value> get_value_set(sim::WireReader& r) {
   const std::uint32_t count = r.u32();
   if (!r.fits(count, 8)) {
     r.fail();
     return {};
   }
-  std::set<Value> values;
-  Value prev = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const Value v = r.u64();
-    // Canonical frames list values in ascending std::set order; enforcing
-    // it makes decode(encode(m)) re-encode byte-identically.
-    if (!r.ok() || (i > 0 && v <= prev)) {
-      r.fail();
-      return {};
-    }
-    values.insert(values.end(), v);
-    prev = v;
+  std::vector<Value> values;
+  values.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i) values.push_back(r.u64());
+  // Canonical frames list values strictly ascending (the in-memory
+  // order); enforcing it makes decode(encode(m)) re-encode
+  // byte-identically.
+  if (!r.ok() || !strictly_ascending(values)) {
+    r.fail();
+    return {};
   }
   return values;
 }

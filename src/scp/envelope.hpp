@@ -7,8 +7,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <variant>
+#include <vector>
 
 #include "fbqs/qset.hpp"
 #include "scp/ballot.hpp"
@@ -28,11 +28,15 @@ inline constexpr std::uint16_t kWireTypeSlotEnvelope = 17;
 inline constexpr std::size_t kWireMaxQsetDepth = 8;
 
 /// Nomination: x ∈ voted means "I vote to nominate x"; x ∈ accepted means
-/// "I accept that x is nominated".
+/// "I accept that x is nominated". Both lists are strictly ascending (the
+/// wire order; ScpNode drops a statement that is not).
 struct NominateStmt {
-  std::set<Value> voted;
-  std::set<Value> accepted;
+  std::vector<Value> voted;
+  std::vector<Value> accepted;
 };
+
+/// True iff `values` is strictly ascending (sorted, no duplicates).
+bool strictly_ascending(const std::vector<Value>& values);
 
 /// PREPARE(b, p, p', c.n, h.n): votes prepare(b); has accepted prepare(p)
 /// and prepare(p'); votes commit(n, b.x) for c_n <= n <= h_n (when c_n > 0).

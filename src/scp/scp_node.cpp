@@ -1,6 +1,7 @@
 #include "scp/scp_node.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -12,6 +13,23 @@ namespace {
 /// dropped and rebuilt on demand (bounds memory against ballot churn; never
 /// hit in healthy runs).
 constexpr std::size_t kMaxTrackedPredicates = 4096;
+
+bool contains(const std::vector<Value>& values, Value v) {
+  return std::binary_search(values.begin(), values.end(), v);
+}
+
+/// Adds the ascending `from` to the ascending `into`; true iff it grew.
+bool merge_into(std::vector<Value>& into, const std::vector<Value>& from) {
+  if (std::includes(into.begin(), into.end(), from.begin(), from.end())) {
+    return false;
+  }
+  std::vector<Value> merged;
+  merged.reserve(into.size() + from.size());
+  std::set_union(into.begin(), into.end(), from.begin(), from.end(),
+                 std::back_inserter(merged));
+  into.swap(merged);
+  return true;
+}
 }  // namespace
 
 void flush_quorum_counters(sim::ProtocolHost& host,
@@ -32,6 +50,10 @@ void flush_quorum_counters(sim::ProtocolHost& host,
       last.support_updates);
   add(ProtoCounter::kSupportRebuilds, now.support_rebuilds,
       last.support_rebuilds);
+  add(ProtoCounter::kNominationEvals, now.nomination_evals,
+      last.nomination_evals);
+  add(ProtoCounter::kNominationEvalsBaseline, now.nomination_evals_baseline,
+      last.nomination_evals_baseline);
   last = now;
 }
 
@@ -93,7 +115,7 @@ void ScpNode::start() {
     throw std::logic_error("ScpNode::start: quorum set not configured");
   }
   started_ = true;
-  nom_voted_.insert(own_value_);
+  nom_voted_.assign(1, own_value_);
   emit_nomination();
   advance();
   flush_counters();
@@ -103,25 +125,31 @@ bool ScpNode::handle(ProcessId from, const sim::Message& msg) {
   const auto* env = dynamic_cast<const Envelope*>(&msg);
   if (env == nullptr) return false;
   if (env->sender != from) return true;  // forged sender field: drop
+  const auto* nom = std::get_if<NominateStmt>(&env->statement);
+  // Value lists out of wire order are malformed (the decoder rejects them
+  // too): drop.
+  if (nom != nullptr &&
+      !(strictly_ascending(nom->voted) && strictly_ascending(nom->accepted))) {
+    return true;
+  }
 
-  auto& stream = is_ballot_statement(env->statement) ? latest_ballot_
-                                                     : latest_nom_;
+  const auto& stream = nom != nullptr ? latest_nom_ : latest_ballot_;
   const auto it = stream.find(from);
   if (it != stream.end() && it->second.seq >= env->seq) return true;  // stale
-  stream.insert_or_assign(from, *env);
-  note_statement_update(from);
+  if (nom != nullptr) {
+    store_nomination(*env);
+  } else {
+    store_ballot(*env);
+  }
 
   if (!started_) return true;  // buffered; acted on at start
 
   // Echo-all nomination: vote for every value we see nominated (until we
   // have decided — echoes are pointless afterwards).
-  if (const auto* nom = std::get_if<NominateStmt>(&env->statement)) {
-    if (!decided_) {
-      bool grew = false;
-      for (Value v : nom->voted) grew |= nom_voted_.insert(v).second;
-      for (Value v : nom->accepted) grew |= nom_voted_.insert(v).second;
-      if (grew) emit_nomination();
-    }
+  if (nom != nullptr && !decided_) {
+    bool grew = merge_into(nom_voted_, nom->voted);
+    grew |= merge_into(nom_voted_, nom->accepted);
+    if (grew) emit_nomination();
   }
   advance();
   flush_counters();
@@ -137,10 +165,6 @@ std::size_t ScpNode::PredKeyHash::operator()(const PredKey& k) const {
 
 bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
   switch (key.cls) {
-    case PredClass::kNomVote:
-      return votes_nominate(s, key.x);
-    case PredClass::kNomAccept:
-      return accepts_nominate(s, key.x);
     case PredClass::kPrepareVote: {
       const Ballot beta{key.n, key.x};
       return votes_prepare(s, beta) || accepts_prepared(s, beta);
@@ -160,13 +184,9 @@ bool ScpNode::pred_holds(const PredKey& key, const Statement& s) {
 const NodeSet& ScpNode::support_view(const PredKey& key) const {
   const auto it = support_.find(key);
   if (it != support_.end()) return it->second;
-  // First query of this predicate: one scan over both streams (a sender
-  // supports it if any of its current statements implies it), then the view
-  // stays fresh via note_statement_update().
+  // First query of this predicate: one scan over the ballot stream, then
+  // the view stays fresh via store_ballot().
   NodeSet s(peers_.universe_size());
-  for (const auto& [id, env] : latest_nom_) {
-    if (pred_holds(key, env.statement)) s.add(id);
-  }
   for (const auto& [id, env] : latest_ballot_) {
     if (pred_holds(key, env.statement)) s.add(id);
   }
@@ -174,34 +194,51 @@ const NodeSet& ScpNode::support_view(const PredKey& key) const {
   return support_.emplace(key, std::move(s)).first->second;
 }
 
-void ScpNode::note_statement_update(ProcessId id) {
-  const auto nom_it = latest_nom_.find(id);
-  const auto bal_it = latest_ballot_.find(id);
-  const Statement* nom =
-      nom_it == latest_nom_.end() ? nullptr : &nom_it->second.statement;
-  const Statement* bal =
-      bal_it == latest_ballot_.end() ? nullptr : &bal_it->second.statement;
+void ScpNode::store_nomination(const Envelope& env) {
+  const ProcessId id = env.sender;
+  const auto& next = std::get<NominateStmt>(env.statement);
+  const auto it = latest_nom_.find(id);
+  // Only values whose voted/accepted membership changed can change a
+  // support: diff against the sender's previous statement.
+  const NominateStmt none;
+  const NominateStmt& prev =
+      it == latest_nom_.end() ? none
+                              : std::get<NominateStmt>(it->second.statement);
+  std::vector<Value> diff;
+  std::set_symmetric_difference(prev.voted.begin(), prev.voted.end(),
+                                next.voted.begin(), next.voted.end(),
+                                std::back_inserter(diff));
+  std::set_symmetric_difference(prev.accepted.begin(), prev.accepted.end(),
+                                next.accepted.begin(), next.accepted.end(),
+                                std::back_inserter(diff));
+  for (Value v : diff) {
+    const auto [entry, fresh] = nom_index_.try_emplace(v);
+    NomSupport& s = entry->second;
+    if (fresh) s.vote = s.accept = NodeSet(peers_.universe_size());
+    const bool accepts = contains(next.accepted, v);
+    const bool votes = accepts || contains(next.voted, v);
+    votes ? s.vote.add(id) : s.vote.remove(id);
+    accepts ? s.accept.add(id) : s.accept.remove(id);
+    s.dirty = true;
+  }
+  latest_nom_.insert_or_assign(id, env);
+  // Effective qset: the ballot-stream envelope wins when both exist (they
+  // are the same for correct senders anyway).
+  if (latest_ballot_.count(id) == 0) bind_qset(id, env.qset);
+}
+
+void ScpNode::store_ballot(const Envelope& env) {
+  const ProcessId id = env.sender;
   if (support_.size() > kMaxTrackedPredicates) {
     support_.clear();  // rebuilt lazily; counted per-view as rebuilds
   }
-  // scup-lint: order-insensitive(each entry is updated independently from this sender's statements; no cross-entry reads or emissions)
+  // scup-lint: order-insensitive(each entry is updated independently from this sender's statement; no cross-entry reads or emissions)
   for (auto& [key, view] : support_) {
-    const bool in = (nom != nullptr && pred_holds(key, *nom)) ||
-                    (bal != nullptr && pred_holds(key, *bal));
-    if (in) {
-      view.add(id);
-    } else {
-      view.remove(id);
-    }
+    pred_holds(key, env.statement) ? view.add(id) : view.remove(id);
   }
   engine_->count_support_update();
-  // Effective qset: the ballot-stream envelope wins when both exist (they
-  // are the same for correct senders anyway).
-  if (bal_it != latest_ballot_.end()) {
-    bind_qset(id, bal_it->second.qset);
-  } else if (nom_it != latest_nom_.end()) {
-    bind_qset(id, nom_it->second.qset);
-  }
+  latest_ballot_.insert_or_assign(id, env);
+  bind_qset(id, env.qset);
 }
 
 void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
@@ -222,46 +259,82 @@ void ScpNode::bind_qset(ProcessId id, const fbqs::QSet& q) {
     ++qset_rebinds_[id];
   }
   sender_qset_id_[id] = engine_->intern(q);
+  // Every nomination verdict reads the members' bindings.
+  for (auto& [v, s] : nom_index_) s.dirty = true;
 }
 
 bool ScpNode::support_views_consistent() const {
   // scup-lint: order-insensitive(pure all-of check; result is a conjunction over entries)
   for (const auto& [key, view] : support_) {
     NodeSet fresh(peers_.universe_size());
-    for (const auto& [id, env] : latest_nom_) {
-      if (pred_holds(key, env.statement)) fresh.add(id);
-    }
     for (const auto& [id, env] : latest_ballot_) {
       if (pred_holds(key, env.statement)) fresh.add(id);
     }
     if (!(fresh == view)) return false;
   }
+  // Every currently nominated value is indexed (our own votes are in our
+  // statement), and each entry's supports match a rescan of latest_nom_.
+  for (const auto& [id, env] : latest_nom_) {
+    const auto& nom = std::get<NominateStmt>(env.statement);
+    for (const auto* values : {&nom.voted, &nom.accepted}) {
+      for (Value v : *values) {
+        if (nom_index_.count(v) == 0) return false;
+      }
+    }
+  }
+  for (const auto& [v, s] : nom_index_) {
+    NodeSet vote(peers_.universe_size());
+    NodeSet accept(peers_.universe_size());
+    for (const auto& [id, env] : latest_nom_) {
+      if (votes_nominate(env.statement, v)) vote.add(id);
+      if (accepts_nominate(env.statement, v)) accept.add(id);
+    }
+    if (!(vote == s.vote) || !(accept == s.accept)) return false;
+  }
   return true;
 }
 
-bool ScpNode::is_quorum_satisfying(const PredKey& pred) const {
-  // Supporters across both streams: a node supports the predicate if any of
-  // its current statements implies it. The Algorithm-1 closure (drop
-  // members whose quorum set is not satisfied by the remaining support)
-  // runs in the engine, memoized on the support fingerprint.
-  const NodeSet& support = support_view(pred);
+bool ScpNode::nomination_settled() const {
+  if (!started_ || decided_) return true;
+  for (const auto& [v, s] : nom_index_) {
+    if (s.dirty) continue;
+    const bool accepted = contains(nom_accepted_, v);
+    if (!accepted && nom_accept_verdict(s)) return false;
+    if (accepted && !contains(candidates_, v) &&
+        is_quorum_satisfying(s.accept)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool ScpNode::is_quorum_satisfying(const NodeSet& support) const {
+  // A node supports a predicate if its current statement implies it. The
+  // Algorithm-1 closure (drop members whose quorum set is not satisfied by
+  // the remaining support) runs in the engine, memoized on the support
+  // fingerprint.
   if (!support.contains(host_.self())) return false;
   return engine_->quorum_contains(support, host_.self(), sender_qset_id_);
 }
 
-bool ScpNode::is_vblocking(const PredKey& pred) const {
-  NodeSet blockers = support_view(pred);
+bool ScpNode::is_vblocking(const NodeSet& support) const {
+  NodeSet blockers = support;
   blockers.remove(host_.self());
   return engine_->blocked_for(own_qset_id_, blockers);
 }
 
 bool ScpNode::federated_accept(const PredKey& votes_or_accepts,
                                const PredKey& accepts) const {
-  return is_vblocking(accepts) || is_quorum_satisfying(votes_or_accepts);
+  return is_vblocking(support_view(accepts)) ||
+         is_quorum_satisfying(support_view(votes_or_accepts));
 }
 
 bool ScpNode::federated_ratify(const PredKey& accepts) const {
-  return is_quorum_satisfying(accepts);
+  return is_quorum_satisfying(support_view(accepts));
+}
+
+bool ScpNode::nom_accept_verdict(const NomSupport& s) const {
+  return is_vblocking(s.accept) || is_quorum_satisfying(s.vote);
 }
 
 void ScpNode::flush_counters() {
@@ -294,40 +367,38 @@ void ScpNode::advance() {
 }
 
 bool ScpNode::step_nomination() {
-  bool changed = false;
-  // Candidate values: everything anyone has mentioned.
-  std::set<Value> seen = nom_voted_;
-  for (const auto& [id, env] : latest_nom_) {
-    if (const auto* nom = std::get_if<NominateStmt>(&env.statement)) {
-      seen.insert(nom->voted.begin(), nom->voted.end());
-      seen.insert(nom->accepted.begin(), nom->accepted.end());
+  // Re-check only dirty values, ascending. A clean value's verdicts cannot
+  // have moved: they read only its supports, the members' qset bindings
+  // and our own qset, and a change to any of those dirtied it. Verdicts
+  // within one step are independent (our own statement only changes at the
+  // emission below), so new entries are collected and merged once.
+  std::vector<Value> accepted;
+  std::vector<Value> confirmed;
+  std::uint64_t evals = 0;
+  for (auto& [v, s] : nom_index_) {
+    if (!s.dirty) continue;
+    s.dirty = false;
+    bool is_accepted = contains(nom_accepted_, v);
+    if (is_accepted && contains(candidates_, v)) continue;
+    ++evals;
+    if (!is_accepted && nom_accept_verdict(s)) {
+      accepted.push_back(v);
+      is_accepted = true;
     }
+    if (is_accepted && is_quorum_satisfying(s.accept)) confirmed.push_back(v);
   }
-  for (Value v : seen) {
-    if (nom_accepted_.count(v) == 0) {
-      const bool accepted =
-          federated_accept(PredKey{PredClass::kNomVote, 0, v},
-                           PredKey{PredClass::kNomAccept, 0, v});
-      if (accepted) {
-        nom_accepted_.insert(v);
-        nom_voted_.insert(v);
-        changed = true;
-      }
-    }
-    if (nom_accepted_.count(v) > 0 && candidates_.count(v) == 0) {
-      if (federated_ratify(PredKey{PredClass::kNomAccept, 0, v})) {
-        candidates_.insert(v);
-        changed = true;
-      }
-    }
-  }
-  if (changed) emit_nomination();
-  return changed;
+  engine_->count_nomination_evals(evals, nom_index_.size());
+  merge_into(nom_voted_, accepted);
+  merge_into(candidates_, confirmed);
+  // Candidates are not part of the statement: only a newly accepted value
+  // changes (voted, accepted) and is worth a broadcast.
+  if (merge_into(nom_accepted_, accepted)) emit_nomination();
+  return !accepted.empty() || !confirmed.empty();
 }
 
 Value ScpNode::composite_candidate() const {
   // Deterministic combine: maximum of the confirmed candidates.
-  return candidates_.empty() ? own_value_ : *candidates_.rbegin();
+  return candidates_.empty() ? own_value_ : candidates_.back();
 }
 
 bool ScpNode::maybe_start_ballot() {
@@ -339,7 +410,7 @@ bool ScpNode::maybe_start_ballot() {
   } else {
     // Catch-up: if a v-blocking set has moved to the ballot protocol, adopt
     // the value of the highest working ballot among them.
-    if (!is_vblocking(PredKey{PredClass::kBallotStream, 0, 0})) {
+    if (!is_vblocking(support_view(PredKey{PredClass::kBallotStream, 0, 0}))) {
       return false;
     }
     Ballot best;
@@ -404,13 +475,16 @@ bool ScpNode::attempt_accept_prepared() {
                          PredKey{PredClass::kPrepareAccept, beta.n, beta.x});
     if (!accepted) continue;
     // Update (p, p') = two highest accepted-prepared, mutually incompatible.
+    // A third incompatible ballot below both changes nothing (reporting it
+    // as a change would spin advance() forever).
     if (!p_.valid() || p_ < beta) {
       if (p_.valid() && !compatible(p_, beta)) p_prime_ = p_;
       p_ = beta;
+      changed = true;
     } else if (!compatible(beta, p_) && (!p_prime_.valid() || p_prime_ < beta)) {
       p_prime_ = beta;
+      changed = true;
     }
-    changed = true;
   }
   if (changed) {
     // Accepting prepared(p) aborts commit votes for incompatible smaller
@@ -588,8 +662,7 @@ void ScpNode::emit_nomination() {
   ++seq_;
   Envelope env(host_.self(), seq_, qset_,
                Statement{NominateStmt{nom_voted_, nom_accepted_}});
-  latest_nom_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self());
+  store_nomination(env);
   const auto msg = sim::make_message<Envelope>(std::move(env));
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }
@@ -597,8 +670,7 @@ void ScpNode::emit_nomination() {
 void ScpNode::emit_ballot() {
   ++seq_;
   Envelope env(host_.self(), seq_, qset_, ballot_statement());
-  latest_ballot_.insert_or_assign(host_.self(), env);
-  note_statement_update(host_.self());
+  store_ballot(env);
   const auto msg = sim::make_message<Envelope>(std::move(env));
   for (ProcessId peer : peers_) host_.host_send(peer, msg);
 }

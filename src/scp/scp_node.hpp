@@ -5,11 +5,12 @@
 //  - Quorum checks use the Algorithm-1 closure over the quorum sets attached
 //    to envelopes; acceptance uses quorum OR v-blocking, confirmation uses
 //    quorum ratification.
-//  - Nomination uses "echo everything seen": every value appearing in a
-//    received NOMINATE is added to our own voted set. This keeps the
-//    protocol leaderless and convergent; the composite value of the
-//    confirmed candidate set is their maximum (any deterministic combine
-//    works for the paper's theorems).
+//  - Nomination is leaderless echo-all: every value in a NOMINATE received
+//    after start() and before the decision is added to our own voted set.
+//    Envelopes buffered before start() are not echoed, but their values are
+//    indexed and can still be accepted by federated voting. The composite
+//    value of the confirmed candidate set is their maximum (any
+//    deterministic combine works for the paper's theorems).
 //  - Ballot bumping: a timer that grows linearly with the ballot counter;
 //    after GST all correct nodes eventually share a long enough round to
 //    confirm commit (standard partial-synchrony argument).
@@ -18,20 +19,25 @@
 //    lets non-sink nodes follow the sink.
 //
 // Evaluation strategy: federated-voting checks run on a fbqs::QuorumEngine
-// (shared across slots when hosted by a LedgerMultiplexer). Instead of
-// re-gathering supporters from the envelope maps on every check, the node
-// maintains materialized support sets per queried predicate — refreshed
-// incrementally as envelopes arrive — and the engine memoizes the
-// Algorithm-1 closure on the support-set fingerprint, so the many
-// predicates of one advance() fixpoint (candidate ballots × vote/accept
-// classes) are answered by a handful of closure runs.
+// (shared across slots when hosted by a LedgerMultiplexer), which memoizes
+// the Algorithm-1 closure on the support-set fingerprint. Supports are
+// materialized and kept fresh as envelopes arrive, never re-gathered:
+//  - Nomination keeps an index of every value any NOMINATE carried, with
+//    per-value vote and accept supports updated by diffing each sender's
+//    previous and new statement. A value is dirty when one of its supports
+//    changed, and every value is dirty when a sender's qset binding
+//    changed; those, with our own qset, are the only inputs to its
+//    verdicts, so step_nomination() re-checks only dirty values. Our own
+//    NOMINATE is re-sent only when its (voted, accepted) lists changed.
+//  - The ballot protocol keeps one support set per queried predicate
+//    (candidate ballots × vote/accept classes), built on first query and
+//    refreshed on every ballot-stream update.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -104,7 +110,11 @@ class ScpNode {
 
   // ---- Introspection for tests and experiments ----
   std::uint32_t ballot_counter() const { return b_.n; }
-  const std::set<Value>& candidates() const { return candidates_; }
+  /// Confirmed-nominated values and accepted-nominated values, ascending.
+  const std::vector<Value>& candidates() const { return candidates_; }
+  const std::vector<Value>& nominations_accepted() const {
+    return nom_accepted_;
+  }
   std::size_t envelopes_emitted() const { return seq_; }
 
   enum class Phase { kNominate, kPrepare, kConfirm, kExternalize };
@@ -127,10 +137,19 @@ class ScpNode {
     return latest_ballot_;
   }
 
-  /// Debug: rebuilds every materialized support view from scratch and
-  /// compares against the incrementally maintained one. True iff all agree
-  /// (the from-scratch equivalence the unit suite pins).
+  /// Debug: rebuilds every materialized support view — the ballot
+  /// predicates' and the nomination value index with its per-value
+  /// supports — from scratch and compares against the incrementally
+  /// maintained one. True iff all agree (the from-scratch equivalence the
+  /// unit suite pins).
   bool support_views_consistent() const;
+
+  /// Debug: true iff re-checking every value step_nomination() left clean
+  /// would change nothing — the exactness of the dirty rule. Meaningful
+  /// whenever start()/handle()/on_ballot_timer() have returned (the node is
+  /// at its fixpoint); vacuously true before start() and once decided. Runs
+  /// real engine queries, so it moves the engine's stats.
+  bool nomination_settled() const;
 
   /// Test hook (see fbqs::QuorumEngine::debug_rehash): scrambles the
   /// support index's bucket order. Behaviour must be unchanged — the loops
@@ -146,9 +165,8 @@ class ScpNode {
 
   /// A predicate over statements, in first-order form so support for it can
   /// be materialized and updated incrementally: class + (n, x) parameters.
+  /// Nomination is not here: its supports live in nom_index_.
   enum class PredClass : std::uint8_t {
-    kNomVote,         // votes-or-accepts nominate(x)
-    kNomAccept,       // accepts nominate(x)
     kPrepareVote,     // votes prepare((n,x)) or accepts prepared((n,x))
     kPrepareAccept,   // accepts prepared((n,x))
     kCommitVote,      // votes commit(n,x) or accepts commit(n,x)
@@ -167,24 +185,37 @@ class ScpNode {
 
   static bool pred_holds(const PredKey& key, const Statement& s);
 
-  bool is_quorum_satisfying(const PredKey& pred) const;
-  bool is_vblocking(const PredKey& pred) const;
+  bool is_quorum_satisfying(const NodeSet& support) const;
+  bool is_vblocking(const NodeSet& support) const;
   bool federated_accept(const PredKey& votes_or_accepts,
                         const PredKey& accepts) const;
   bool federated_ratify(const PredKey& accepts) const;
 
-  /// The materialized support set for a predicate: which senders' current
-  /// statements (either stream) imply it. Built by one scan on first query,
-  /// then kept fresh by note_statement_update().
+  /// The materialized support set for a ballot predicate: which senders'
+  /// current ballot statements imply it (nomination statements imply none).
+  /// Built by one scan on first query, then kept fresh by store_ballot().
   const NodeSet& support_view(const PredKey& key) const;
 
-  /// Refreshes all support views and the effective qset id after sender
-  /// `id`'s latest statement (in either stream) changed.
-  void note_statement_update(ProcessId id);
+  /// Store a sender's (self included) latest envelope of one stream and
+  /// refresh what depends on it: the nomination index and dirty set, or
+  /// the ballot support views; then the sender's effective qset.
+  void store_nomination(const Envelope& env);
+  void store_ballot(const Envelope& env);
 
-  /// Re-binds the sender's effective qset (ballot stream wins) and clears
-  /// the closure cache when the interned id actually changes.
+  /// Re-binds the sender's effective qset (ballot stream wins); a changed
+  /// binding dirties every nomination value.
   void bind_qset(ProcessId id, const fbqs::QSet& q);
+
+  /// One value's nomination supports: the senders whose current NOMINATE
+  /// votes-or-accepts it, and those whose current NOMINATE accepts it.
+  struct NomSupport {
+    NodeSet vote;
+    NodeSet accept;
+    bool dirty = false;  // verdict inputs changed since the last check
+  };
+  /// federated_accept over the value's supports (ratify is a quorum of
+  /// its accept support).
+  bool nom_accept_verdict(const NomSupport& s) const;
 
   void advance();          // run protocol steps to fixpoint
   bool step_nomination();  // returns true if state changed
@@ -213,10 +244,16 @@ class ScpNode {
   bool started_ = false;
   std::uint64_t seq_ = 0;
 
-  // Nomination state.
-  std::set<Value> nom_voted_;
-  std::set<Value> nom_accepted_;
-  std::set<Value> candidates_;
+  // Nomination state (ascending value lists).
+  std::vector<Value> nom_voted_;
+  std::vector<Value> nom_accepted_;
+  std::vector<Value> candidates_;
+
+  /// The value index: every value any NOMINATE ever carried (self and
+  /// pre-start buffered envelopes included), with its supports. Keys are
+  /// monotone; a value nobody currently nominates keeps empty supports,
+  /// and empty supports never accept, so iterating this superset is exact.
+  std::map<Value, NomSupport> nom_index_;
 
   // Ballot state.
   Phase phase_ = Phase::kNominate;
@@ -246,8 +283,8 @@ class ScpNode {
   std::vector<fbqs::QSetId> sender_qset_id_;
   /// Rebinds consumed per sender, capped at kMaxQsetRebinds (fits a byte).
   std::vector<std::uint8_t> qset_rebinds_;
-  /// Materialized support views; `mutable` because they are a cache over
-  /// the envelope maps, lazily extended by const query paths.
+  /// Materialized ballot support views; `mutable` because they are a cache
+  /// over latest_ballot_, lazily extended by const query paths.
   mutable std::unordered_map<PredKey, NodeSet, PredKeyHash> support_;
   /// Last stats snapshot flushed to SimMetrics (owned-engine nodes only).
   fbqs::QuorumEngineStats flushed_;

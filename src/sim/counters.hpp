@@ -48,6 +48,11 @@ enum class ProtoCounter : std::uint8_t {
   /// Sends whose traffic accounting was served from a message's cached
   /// frame size (every send of a codec-bearing message after its first).
   kWireCachedSends,
+  /// Nomination values SCP re-checked (the dirty ones).
+  kNominationEvals,
+  /// Values the rescan-every-step baseline would have re-checked (the whole
+  /// value index per step; the nomination savings denominator).
+  kNominationEvalsBaseline,
   kCount,
 };
 

@@ -38,6 +38,9 @@ const char* proto_counter_name(ProtoCounter c) {
     case ProtoCounter::kDiscoveryPayloadShared: return "cup.payload_shared";
     case ProtoCounter::kWireEncodes: return "sim.wire_encodes";
     case ProtoCounter::kWireCachedSends: return "sim.wire_cached_sends";
+    case ProtoCounter::kNominationEvals: return "scp.nomination_evals";
+    case ProtoCounter::kNominationEvalsBaseline:
+      return "scp.nomination_evals_baseline";
     case ProtoCounter::kCount: break;
   }
   return "scp.unknown";

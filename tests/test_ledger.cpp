@@ -166,7 +166,7 @@ scp::Envelope nominate_envelope(ProcessId sender, std::uint64_t seq,
   const fbqs::QSet q =
       fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2});
   scp::NominateStmt nom;
-  nom.voted.insert(v);
+  nom.voted.push_back(v);
   return scp::Envelope(sender, seq, q, scp::Statement{nom});
 }
 

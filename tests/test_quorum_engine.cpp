@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <map>
+#include <optional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -250,8 +253,8 @@ TEST(ScpNodeEngineTest, IncrementalSupportMatchesFromScratchThroughDecision) {
   // Peers nominate 42: node accepts, ratifies, moves to PREPARE.
   for (ProcessId p = 1; p < kN; ++p) {
     NominateStmt nom;
-    nom.voted.insert(42);
-    nom.accepted.insert(42);
+    nom.voted.push_back(42);
+    nom.accepted.push_back(42);
     node.handle(p, Envelope(p, 1, majority4(), Statement{nom}));
     EXPECT_TRUE(node.support_views_consistent()) << "after nominate from " << p;
   }
@@ -310,8 +313,8 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
   node.start();
 
   NominateStmt nom;
-  nom.voted.insert(42);
-  nom.accepted.insert(42);
+  nom.voted.push_back(42);
+  nom.accepted.push_back(42);
   for (ProcessId p = 1; p < kN; ++p) {
     node.handle(p, Envelope(p, 1, majority4(), Statement{nom}));
   }
@@ -323,79 +326,367 @@ TEST(ScpNodeEngineTest, QsetChangeInvalidatesClosureCache) {
   const fbqs::QSet other =
       fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2, 3});
   NominateStmt nom2 = nom;
-  nom2.voted.insert(43);  // grow the statement so the envelope is fresh
+  nom2.voted.push_back(43);  // grow the statement so the envelope is fresh
   node.handle(1, Envelope(1, 5, other, Statement{nom2}));
   EXPECT_TRUE(node.support_views_consistent());
   EXPECT_GT(node.engine().stats().closure_runs, runs_before)
       << "qset change must invalidate the closure cache";
 }
 
-TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
-  constexpr std::size_t kN = 6;
-  const fbqs::QSet qa =
-      fbqs::QSet::threshold_of(4, std::vector<ProcessId>{0, 1, 2, 3, 4, 5});
-  const fbqs::QSet qb =
-      fbqs::QSet::threshold_of(3, std::vector<ProcessId>{0, 1, 2, 3, 4, 5});
+/// A fuzzed envelope stream over 6 processes (node 0 under test, peers
+/// 1..5), values 100..105. Peer 5 is Byzantine: its first NOMINATE names
+/// every value and each later one withdraws part of it. Peers rebind
+/// between three structurally different qsets mid-stream.
+class EnvelopeFuzz {
+ public:
+  static constexpr std::size_t kN = 6;
+  static constexpr ProcessId kShrinker = 5;
 
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    FakeHost host(0, kN);
-    ScpNode node(host, kN, qa, 100 + seed);
-    for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
-    node.start();
+  /// `ballot_weight` out of 8 statements are ballot statements.
+  EnvelopeFuzz(std::uint64_t seed, std::uint64_t ballot_weight)
+      : rng_(seed), ballot_weight_(ballot_weight) {}
 
-    std::vector<std::uint64_t> seq(kN, 0);
-    for (int step = 0; step < 120; ++step) {
-      const auto p = static_cast<ProcessId>(1 + rng.uniform(kN - 1));
-      const fbqs::QSet& q = rng.uniform(4) == 0 ? qb : qa;
-      Statement stmt;
-      switch (rng.uniform(4)) {
-        case 0: {
-          NominateStmt s;
-          const std::size_t k = 1 + rng.uniform(3);
-          for (std::size_t i = 0; i < k; ++i) {
-            const Value v = 100 + rng.uniform(4);
-            if (rng.uniform(2) == 0) s.voted.insert(v); else s.accepted.insert(v);
-          }
-          stmt = s;
-          break;
-        }
-        case 1: {
-          PrepareStmt s;
-          s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
-                       100 + rng.uniform(4)};
-          if (rng.uniform(2) == 0) s.p = s.b;
-          if (rng.uniform(3) == 0) {
-            s.c_n = 1;
-            s.h_n = s.b.n;
-          }
-          stmt = s;
-          break;
-        }
-        case 2: {
-          ConfirmStmt s;
-          s.b = Ballot{1 + static_cast<std::uint32_t>(rng.uniform(3)),
-                       100 + rng.uniform(4)};
-          s.p_n = s.b.n;
+  static fbqs::QSet qa() {
+    return fbqs::QSet::threshold_of(
+        4, std::vector<ProcessId>{0, 1, 2, 3, 4, 5});
+  }
+
+  Envelope next() {
+    const auto p = static_cast<ProcessId>(1 + rng_.uniform(kN - 1));
+    const fbqs::QSet q = pick_qset();
+    Statement stmt;
+    if (rng_.uniform(8) >= ballot_weight_) {
+      stmt = p == kShrinker ? shrinking_nomination() : random_nomination();
+    } else {
+      stmt = random_ballot();
+    }
+    return Envelope(p, ++seq_[p], q, std::move(stmt));
+  }
+
+ private:
+  fbqs::QSet pick_qset() {
+    switch (rng_.uniform(8)) {
+      case 0:
+        return fbqs::QSet::threshold_of(
+            3, std::vector<ProcessId>{0, 1, 2, 3, 4, 5});
+      case 1:
+        return fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2});
+      default:
+        return qa();
+    }
+  }
+
+  NominateStmt random_nomination() {
+    std::set<Value> voted;
+    std::set<Value> accepted;
+    const std::size_t k = 1 + rng_.uniform(3);
+    for (std::size_t i = 0; i < k; ++i) {
+      const Value v = 100 + rng_.uniform(4);
+      if (rng_.uniform(2) == 0) voted.insert(v); else accepted.insert(v);
+    }
+    return NominateStmt{{voted.begin(), voted.end()},
+                        {accepted.begin(), accepted.end()}};
+  }
+
+  NominateStmt shrinking_nomination() {
+    // Withdraw one value per statement (from the top), down to {100}.
+    NominateStmt s;
+    for (Value v = 100; v < 100 + shrinker_width_; ++v) s.voted.push_back(v);
+    s.accepted.assign(s.voted.begin(),
+                      s.voted.begin() + (s.voted.size() + 1) / 2);
+    if (shrinker_width_ > 1) --shrinker_width_;
+    return s;
+  }
+
+  Statement random_ballot() {
+    switch (rng_.uniform(3)) {
+      case 0: {
+        PrepareStmt s;
+        s.b = Ballot{1 + static_cast<std::uint32_t>(rng_.uniform(3)),
+                     100 + rng_.uniform(4)};
+        if (rng_.uniform(2) == 0) s.p = s.b;
+        if (rng_.uniform(3) == 0) {
           s.c_n = 1;
           s.h_n = s.b.n;
-          stmt = s;
-          break;
         }
-        default: {
-          ExternalizeStmt s;
-          s.commit = Ballot{1, 100 + rng.uniform(4)};
-          s.h_n = 1 + static_cast<std::uint32_t>(rng.uniform(2));
-          stmt = s;
-          break;
-        }
+        return s;
       }
-      node.handle(p, Envelope(p, ++seq[p], q, std::move(stmt)));
+      case 1: {
+        ConfirmStmt s;
+        s.b = Ballot{1 + static_cast<std::uint32_t>(rng_.uniform(3)),
+                     100 + rng_.uniform(4)};
+        s.p_n = s.b.n;
+        s.c_n = 1;
+        s.h_n = s.b.n;
+        return s;
+      }
+      default: {
+        ExternalizeStmt s;
+        s.commit = Ballot{1, 100 + rng_.uniform(4)};
+        s.h_n = 1 + static_cast<std::uint32_t>(rng_.uniform(2));
+        return s;
+      }
+    }
+  }
+
+  Rng rng_;
+  std::uint64_t ballot_weight_;
+  std::vector<std::uint64_t> seq_ = std::vector<std::uint64_t>(kN, 0);
+  Value shrinker_width_ = 6;
+};
+
+TEST(ScpNodeEngineTest, RandomizedEnvelopeFuzzKeepsViewsConsistent) {
+  constexpr std::size_t kN = EnvelopeFuzz::kN;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    EnvelopeFuzz fuzz(seed, /*ballot_weight=*/6);
+    FakeHost host(0, kN);
+    ScpNode node(host, kN, EnvelopeFuzz::qa(), 100 + seed);
+    for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+    // Envelopes buffered before start(): indexed, never echoed.
+    for (int step = 0; step < 12; ++step) {
+      const Envelope env = fuzz.next();
+      node.handle(env.sender, env);
       ASSERT_TRUE(node.support_views_consistent())
+          << "seed=" << seed << " pre-start step=" << step;
+    }
+    node.start();
+    ASSERT_TRUE(node.support_views_consistent()) << "seed=" << seed;
+    ASSERT_TRUE(node.nomination_settled()) << "seed=" << seed;
+
+    for (int step = 0; step < 120; ++step) {
+      const Envelope env = fuzz.next();
+      node.handle(env.sender, env);
+      ASSERT_TRUE(node.support_views_consistent())
+          << "seed=" << seed << " step=" << step;
+      ASSERT_TRUE(node.nomination_settled())
           << "seed=" << seed << " step=" << step;
     }
     expect_prepare_invariant(host);
   }
+}
+
+/// Reference model of rescan nomination: keeps every sender's latest
+/// NOMINATE and, on every step, re-checks every value anyone currently
+/// nominates, with Algorithm-1 closures evaluated directly on QSets (no
+/// QuorumEngine, no materialized supports). Mirrors ScpNode's storage
+/// rules: per-stream seq filtering, ballot-stream qset wins, the rebind
+/// budget, no echo before start().
+class RescanNomination {
+ public:
+  RescanNomination(std::size_t n, fbqs::QSet qset, Value own)
+      : n_(n), qset_(std::move(qset)), own_(own), bound_(n), rebinds_(n, 0) {}
+
+  void start() {
+    started_ = true;
+    voted_ = {own_};
+    publish();
+    while (step()) {
+    }
+  }
+
+  void receive(const Envelope& env) {
+    const ProcessId id = env.sender;
+    const auto* nom = std::get_if<NominateStmt>(&env.statement);
+    auto& seqs = nom != nullptr ? nom_seq_ : ballot_seq_;
+    if (seqs.count(id) > 0 && seqs[id] >= env.seq) return;
+    seqs[id] = env.seq;
+    if (nom != nullptr) {
+      nom_[id] = *nom;
+      if (ballot_seq_.count(id) == 0) bind(id, env.qset);
+    } else {
+      bind(id, env.qset);
+    }
+    if (!started_) return;
+    if (nom != nullptr) {
+      const std::size_t before = voted_.size();
+      voted_.insert(nom->voted.begin(), nom->voted.end());
+      voted_.insert(nom->accepted.begin(), nom->accepted.end());
+      if (voted_.size() != before) publish();
+    }
+    while (step()) {
+    }
+  }
+
+  std::vector<Value> accepted() const {
+    return {accepted_.begin(), accepted_.end()};
+  }
+  std::vector<Value> candidates() const {
+    return {candidates_.begin(), candidates_.end()};
+  }
+
+ private:
+  void publish() {
+    nom_[0] = NominateStmt{{voted_.begin(), voted_.end()},
+                           {accepted_.begin(), accepted_.end()}};
+    bind(0, qset_);
+  }
+
+  void bind(ProcessId id, const fbqs::QSet& q) {
+    if (bound_[id].has_value()) {
+      if (*bound_[id] == q) return;
+      if (rebinds_[id] >= ScpNode::kMaxQsetRebinds) return;
+      ++rebinds_[id];
+    }
+    bound_[id] = q;
+  }
+
+  bool in_quorum(NodeSet support) const {
+    for (bool shrunk = true; shrunk;) {
+      shrunk = false;
+      for (ProcessId m : support.to_vector()) {
+        if (!bound_[m].has_value() || !bound_[m]->satisfied_by(support)) {
+          support.remove(m);
+          shrunk = true;
+        }
+      }
+    }
+    return support.contains(0);
+  }
+
+  bool step() {
+    std::set<Value> seen = voted_;
+    for (const auto& [id, nom] : nom_) {
+      seen.insert(nom.voted.begin(), nom.voted.end());
+      seen.insert(nom.accepted.begin(), nom.accepted.end());
+    }
+    bool changed = false;
+    for (Value v : seen) {
+      NodeSet vote(n_);
+      NodeSet accept(n_);
+      for (const auto& [id, nom] : nom_) {
+        const Statement s{nom};
+        if (votes_nominate(s, v)) vote.add(id);
+        if (accepts_nominate(s, v)) accept.add(id);
+      }
+      if (accepted_.count(v) == 0) {
+        NodeSet blockers = accept;
+        blockers.remove(0);
+        if (qset_.blocked_by(blockers) || in_quorum(vote)) {
+          accepted_.insert(v);
+          voted_.insert(v);
+          changed = true;
+        }
+      }
+      if (accepted_.count(v) > 0 && candidates_.count(v) == 0 &&
+          in_quorum(accept)) {
+        candidates_.insert(v);
+        changed = true;
+      }
+    }
+    if (changed) publish();
+    return changed;
+  }
+
+  std::size_t n_;
+  fbqs::QSet qset_;
+  Value own_;
+  bool started_ = false;
+  std::map<ProcessId, NominateStmt> nom_;
+  std::map<ProcessId, std::uint64_t> nom_seq_;
+  std::map<ProcessId, std::uint64_t> ballot_seq_;
+  std::vector<std::optional<fbqs::QSet>> bound_;
+  std::vector<std::size_t> rebinds_;
+  std::set<Value> voted_;
+  std::set<Value> accepted_;
+  std::set<Value> candidates_;
+};
+
+TEST(ScpNodeEngineTest, IncrementalNominationMatchesTheRescanReference) {
+  constexpr std::size_t kN = EnvelopeFuzz::kN;
+  std::size_t compared = 0;
+  std::size_t with_candidates = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    EnvelopeFuzz fuzz(seed * 7919, /*ballot_weight=*/1);
+    FakeHost host(0, kN);
+    ScpNode node(host, kN, EnvelopeFuzz::qa(), 100 + seed % 4);
+    RescanNomination ref(kN, EnvelopeFuzz::qa(), 100 + seed % 4);
+    for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+    for (int step = 0; step < 8; ++step) {
+      const Envelope env = fuzz.next();
+      node.handle(env.sender, env);
+      ref.receive(env);
+    }
+    node.start();
+    ref.start();
+    for (int step = 0; step < 150 && !node.decided(); ++step) {
+      ASSERT_EQ(node.nominations_accepted(), ref.accepted())
+          << "seed=" << seed << " step=" << step;
+      ASSERT_EQ(node.candidates(), ref.candidates())
+          << "seed=" << seed << " step=" << step;
+      ++compared;
+      const Envelope env = fuzz.next();
+      node.handle(env.sender, env);
+      ref.receive(env);
+    }
+    if (!node.candidates().empty()) ++with_candidates;
+  }
+  // The streams must exercise the interesting paths, not just agree on
+  // empty sets.
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(with_candidates, 12u);
+}
+
+TEST(ScpNodeEngineTest, NominateIsSentOnlyWhenTheStatementChanged) {
+  // Candidates are not part of a NOMINATE: confirming one must not
+  // re-broadcast an identical (voted, accepted) statement.
+  constexpr std::size_t kN = EnvelopeFuzz::kN;
+  std::size_t confirmed = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    EnvelopeFuzz fuzz(seed * 7919, /*ballot_weight=*/1);
+    FakeHost host(0, kN);
+    ScpNode node(host, kN, EnvelopeFuzz::qa(), 100 + seed % 4);
+    for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+    node.start();
+    for (int step = 0; step < 150 && !node.decided(); ++step) {
+      const Envelope env = fuzz.next();
+      node.handle(env.sender, env);
+    }
+    confirmed += node.candidates().size();
+    // A broadcast hands one message object to every peer.
+    std::vector<const NominateStmt*> emitted;
+    const sim::Message* last = nullptr;
+    for (const auto& [to, msg] : host.sent) {
+      const auto* env = dynamic_cast<const Envelope*>(msg.get());
+      if (env == nullptr || msg.get() == last) continue;
+      last = msg.get();
+      if (const auto* nom = std::get_if<NominateStmt>(&env->statement)) {
+        emitted.push_back(nom);
+      }
+    }
+    ASSERT_FALSE(emitted.empty());
+    for (std::size_t i = 1; i < emitted.size(); ++i) {
+      EXPECT_FALSE(emitted[i]->voted == emitted[i - 1]->voted &&
+                   emitted[i]->accepted == emitted[i - 1]->accepted)
+          << "seed=" << seed << " NOMINATE #" << i << " repeats #" << i - 1;
+    }
+  }
+  EXPECT_GT(confirmed, 12u) << "the streams must confirm candidates";
+}
+
+TEST(ScpNodeEngineTest, OutOfOrderNominationListsAreDropped) {
+  // The in-memory twin of the decoder's canonical-order check: a NOMINATE
+  // whose lists are not strictly ascending is dropped unread (no echo).
+  constexpr std::size_t kN = 4;
+  FakeHost host(0, kN);
+  ScpNode node(host, kN, majority4(), 42);
+  for (ProcessId p = 1; p < kN; ++p) node.add_peer(p);
+  node.start();
+  const std::size_t sent = host.sent.size();
+  const auto nominate = [&](std::uint64_t seq, std::vector<Value> voted,
+                            std::vector<Value> accepted) {
+    EXPECT_TRUE(node.handle(
+        1, Envelope(1, seq, majority4(),
+                    Statement{NominateStmt{std::move(voted),
+                                           std::move(accepted)}})));
+  };
+  nominate(1, {44, 43}, {});
+  nominate(2, {43, 43}, {});
+  nominate(3, {43}, {45, 44});
+  EXPECT_EQ(host.sent.size(), sent);
+  EXPECT_TRUE(node.support_views_consistent());
+  nominate(4, {43, 44}, {});
+  EXPECT_GT(host.sent.size(), sent) << "a well-formed NOMINATE is echoed";
+  EXPECT_TRUE(node.support_views_consistent());
 }
 
 }  // namespace

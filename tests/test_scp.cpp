@@ -2,6 +2,9 @@
 // convergence, Byzantine tolerance within a consensus cluster.
 #include "scp/scp_node.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/adversaries.hpp"
@@ -41,7 +44,7 @@ class NominationEquivocator : public sim::ComposedNode {
     for (ProcessId p = 0; p < universe_n_; ++p) {
       if (p == id()) continue;
       NominateStmt stmt;
-      stmt.voted.insert(p % 2 == 0 ? 71 : 72);
+      stmt.voted.push_back(p % 2 == 0 ? 71 : 72);
       send(p, std::make_shared<const Envelope>(id(), 1, qset_,
                                                Statement{stmt}));
     }
@@ -158,7 +161,7 @@ TEST(ScpTest, RotatingQsetsAreBoundedByTheRebindBudget) {
   const std::size_t before = node.scp_.engine().interned_count();
   for (std::uint64_t i = 0; i < 32; ++i) {
     NominateStmt stmt;
-    stmt.voted.insert(42);
+    stmt.voted.push_back(42);
     const std::vector<ProcessId> members{static_cast<ProcessId>(i)};
     const Envelope env(/*sender=*/2, /*seq=*/i + 1,
                        fbqs::QSet::threshold_of(1, members), Statement{stmt});
@@ -256,6 +259,43 @@ TEST_P(ScpPropertyTest, ConsensusOnRandomConfigurations) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScpPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 31));
+
+TEST(ScpTest, CandidatesConvergeOnEveryShape) {
+  // The harness shapes above: all correct, silent minority, two silent of
+  // seven, a nomination equivocator, pre-GST asynchrony. Nomination runs
+  // until each node decides; every correct node ends with the same
+  // non-empty candidate set, and the decision is one of its members.
+  struct Shape {
+    std::size_t n;
+    std::size_t f;
+    NodeSet faulty;
+    std::uint64_t seed;
+    bool equivocator;
+    SimTime gst;
+  };
+  const std::vector<Shape> shapes{
+      {4, 1, NodeSet(4), 1, false, 0},
+      {4, 1, NodeSet(4, {3}), 1, false, 0},
+      {7, 2, NodeSet(7, {2, 5}), 1, false, 0},
+      {4, 1, NodeSet(4, {0}), 9, true, 0},
+      {4, 1, NodeSet(4, {1}), 11, false, 5'000},
+  };
+  for (const Shape& shape : shapes) {
+    ScpHarness h(shape.n, shape.f, shape.faulty, shape.seed,
+                 shape.equivocator, shape.gst);
+    ASSERT_TRUE(h.run());
+    const std::vector<Value>& first =
+        h.nodes[h.correct.min_member()]->scp_.candidates();
+    ASSERT_FALSE(first.empty()) << "n=" << shape.n;
+    for (ProcessId i : h.correct) {
+      const ScpNode& node = h.nodes[i]->scp_;
+      EXPECT_EQ(node.candidates(), first) << "n=" << shape.n << " i=" << i;
+      EXPECT_TRUE(std::binary_search(first.begin(), first.end(),
+                                     node.decision()))
+          << "n=" << shape.n << " i=" << i;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace scup::scp

@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -188,6 +189,50 @@ TEST_F(WireCodecTest, NonCanonicalNodeSetOrderIsRejected) {
   w.u32(5);
   w.u32(3);  // descending: must be rejected
   EXPECT_EQ(sim::decode_frame(frame), nullptr);
+}
+
+TEST_F(WireCodecTest, NominateFrameIsGoldenAndValueListsMustAscend) {
+  // A fixed NOMINATE's frame, recorded when NominateStmt held std::set
+  // value lists: the sorted-vector statement must encode byte-identically.
+  const fbqs::QSet qset =
+      fbqs::QSet::threshold_of(2, std::vector<ProcessId>{0, 1, 2});
+  const auto envelope_frame = [&](std::vector<Value> voted,
+                                  std::vector<Value> accepted) {
+    const scp::Envelope env(3, 9, qset,
+                            scp::Statement{scp::NominateStmt{
+                                std::move(voted), std::move(accepted)}});
+    std::vector<std::uint8_t> frame;
+    WireWriter w(frame);
+    w.u16(scp::kWireTypeEnvelope);
+    scp::wire_put_envelope(w, env);
+    return frame;
+  };
+  const std::vector<std::uint8_t> frame =
+      envelope_frame({7, 1001, 0x0102030405060708u}, {1001});
+  std::string hex;
+  for (const std::uint8_t b : frame) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "1000"                                      // frame type 16
+            "03000000" "0900000000000000"               // sender, seq
+            "02000000" "03000000" "000000000100000002000000"
+            "00000000"                                  // qset 2-of-{0,1,2}
+            "00"                                        // NOMINATE
+            "03000000" "0700000000000000" "e903000000000000"
+            "0807060504030201"                          // voted
+            "01000000" "e903000000000000");             // accepted
+  const MessagePtr decoded = sim::decode_frame(frame);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(frame_of(*decoded), frame);
+
+  // Out-of-order and duplicate lists are not canonical: rejected.
+  EXPECT_EQ(sim::decode_frame(envelope_frame({1001, 7}, {})), nullptr);
+  EXPECT_EQ(sim::decode_frame(envelope_frame({7, 7}, {})), nullptr);
+  EXPECT_EQ(sim::decode_frame(envelope_frame({7}, {1001, 1001})), nullptr);
+  EXPECT_EQ(sim::decode_frame(envelope_frame({7}, {1001, 8})), nullptr);
 }
 
 TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {

@@ -22,11 +22,18 @@ on regressions. Three checks, in decreasing order of trust:
     meaningless, so each row's real_time is normalized by a baseline row
     *within the same file* (--wall-baseline); the normalized ratio must
     not regress more than --wall-tolerance (default 25%). Skipped when
-    either file lacks the baseline row.
+    either file lacks the baseline row (pass --wall-baseline "" to skip it
+    on purpose).
+
+A file written with --benchmark_repetitions=N holds N rows per benchmark
+plus aggregate rows; the "<name>_median" aggregate stands for the row, so a
+single slow repetition on a shared host cannot fail the wall gate.
 
 Usage:
   bench_compare.py --reference tools/bench_reference_e16.json \
                    --candidate build/BENCH_E16.json
+  bench_compare.py --reference tools/bench_reference_e13.json \
+                   --candidate build/BENCH_E13.json --wall-baseline ""
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ SKIP_COUNTERS = {
     "pooled_allocs",
     "heap_allocs",
     "items_per_second",  # redundant with the normalized wall gate
+    "slots_per_sec",  # E13's wall-clock rate, ditto
 }
 
 
@@ -62,10 +70,16 @@ def load_rows(path):
     with open(path, "r", encoding="utf-8") as f:
         doc = json.load(f)
     rows = {}
+    medians = {}
     for row in doc.get("rows", []):
-        if row.get("error") or row.get("aggregate"):
+        if row.get("error"):
+            continue
+        if row.get("aggregate"):
+            if row["name"].endswith("_median"):
+                medians[row["name"][: -len("_median")]] = row
             continue
         rows[row["name"]] = row
+    rows.update(medians)
     return doc, rows
 
 
@@ -103,9 +117,9 @@ def main():
         ref = dict(ref_rows[name].get("counters", {}))
         cand = dict(cand_rows[name].get("counters", {}))
         for counter in sorted(set(ref) & set(cand)):
-            if skipped_counter(counter):
-                continue
             r, c = ref[counter], cand[counter]
+            if skipped_counter(counter) or r is None or c is None:
+                continue
             if counter in RATIO_FLOORS:
                 floor = RATIO_FLOORS[counter]
                 if c < floor and c < r * (1 - args.counter_tolerance):
