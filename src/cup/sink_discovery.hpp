@@ -134,7 +134,6 @@ class SinkDiscovery {
   bool probably_non_sink() const { return probably_non_sink_; }
 
   const NodeSet& candidate_set() const { return candidate_; }
-  const std::map<ProcessId, NodeSet>& certificates() const { return certs_; }
   const graph::Digraph& certified_graph() const { return cert_graph_; }
   const DiscoveryStats& stats() const { return stats_; }
 
@@ -142,7 +141,10 @@ class SinkDiscovery {
   std::function<void()> on_complete;
 
  private:
-  void merge_certificate(const PdCertificate& cert);
+  /// Union-merges `owner`'s certificate into the table; a no-op (the common
+  /// case: gossip re-delivers what is already known) returns after one
+  /// subset test, and no merge allocates except an owner's first one.
+  void merge_certificate(ProcessId owner, const NodeSet& pd);
   void merge_certificates(const std::map<ProcessId, NodeSet>& certs);
   /// Queries newly reachable nodes, re-evaluates admission for nodes the
   /// new-edge batch can affect, and re-evaluates steps 2-3.
@@ -175,8 +177,13 @@ class SinkDiscovery {
   std::size_t f_;
   DiscoveryConfig config_;
 
-  std::map<ProcessId, NodeSet> certs_;  // owner -> claimed PD (union-merged)
-  graph::Digraph cert_graph_;           // the certified knowledge graph
+  /// Owner-indexed certificate table (DESIGN.md §4.1): cert_pd_[o] is the
+  /// union of every PD certificate `o` was seen to issue, meaningful only
+  /// for o in cert_owners_. Other slots stay unallocated empty NodeSets, so
+  /// memory grows with the owners heard of.
+  std::vector<NodeSet> cert_pd_;
+  NodeSet cert_owners_;
+  graph::Digraph cert_graph_;  // the certified knowledge graph
   /// Heads (targets) of edges added since the last admission recheck; the
   /// nodes they can reach are exactly the nodes whose verdict may change.
   NodeSet new_edge_heads_;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "graph/disjoint_paths.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
 
@@ -106,6 +107,49 @@ TEST(KosrGeneratorTest, GeneratedGraphsPassChecker) {
       EXPECT_TRUE(r.sink.contains(i));
     }
   }
+}
+
+TEST(KosrGeneratorTest, ClauseFourMatchesThePerPairHelper) {
+  // check_kosr answers clause (4) from one prepared flow network; the
+  // per-pair helper builds a fresh one per query. They must agree on
+  // random k-OSR graphs, with random edges and nodes knocked out so both
+  // verdicts occur, for every k including the trivial k = 0.
+  Rng rng(4242);
+  std::size_t holds = 0;
+  std::size_t fails = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    KosrGenParams params;
+    params.sink_size = 6;
+    params.non_sink_size = 5;
+    params.k = 3;
+    params.seed = seed;
+    const Digraph full = random_kosr_graph(params);
+    const std::size_t n = full.node_count();
+    Digraph g(n);
+    for (ProcessId u = 0; u < n; ++u) {
+      for (ProcessId v : full.successors(u)) {
+        if (!rng.chance(0.15)) g.add_edge(u, v);
+      }
+    }
+    NodeSet active = NodeSet::full(n);
+    if (seed % 3 == 0) active.remove(static_cast<ProcessId>(rng.uniform(n)));
+    for (std::size_t k = 0; k <= 4; ++k) {
+      const KosrReport r = check_kosr(g, k, active);
+      if (!r.single_sink || !r.sink_k_connected) continue;
+      bool expected = true;
+      for (ProcessId i : active) {
+        if (r.sink.contains(i)) continue;
+        for (ProcessId j : r.sink) {
+          expected =
+              expected && has_k_vertex_disjoint_paths(g, i, j, k, active);
+        }
+      }
+      EXPECT_EQ(r.paths_to_sink, expected) << "seed=" << seed << " k=" << k;
+      ++(expected ? holds : fails);
+    }
+  }
+  EXPECT_GT(holds, 0u);
+  EXPECT_GT(fails, 0u);
 }
 
 TEST(KosrGeneratorTest, RejectsBadParameters) {

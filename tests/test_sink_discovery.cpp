@@ -1,11 +1,13 @@
 // Unit tests for the SINK algorithm (cup::SinkDiscovery) driven through a
 // fake ProtocolHost, without a simulation: the step-3 matching rules, the
-// incremental admission machinery (memoized verdicts + dirty-set recheck)
-// against a recompute-from-scratch reference, and the shared gossip-reply
-// cache. The simulation-level behaviour is covered by test_sink_detector
-// and test_sink_convergence.
+// owner-indexed certificate table (union merge, malformed-certificate
+// guard), the incremental admission machinery (memoized verdicts +
+// dirty-set recheck) against a recompute-from-scratch reference, and the
+// shared gossip-reply cache. The simulation-level behaviour is covered by
+// test_sink_detector and test_sink_convergence.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -129,6 +131,108 @@ TEST(SinkDiscoveryGossip, ReplyIsSharedUntilCertificatesChange) {
   EXPECT_EQ(replies[2]->certs.count(3), 1u);
 }
 
+/// The most recent gossip reply the host sent, or nullptr.
+const CertGossipMsg* last_gossip_reply(const FakeHost& host) {
+  for (auto it = host.sent.rbegin(); it != host.sent.rend(); ++it) {
+    if (const auto* g = dynamic_cast<const CertGossipMsg*>(it->second.get())) {
+      return g;
+    }
+  }
+  return nullptr;
+}
+
+/// Asks `discovery` for its gossip reply with a DISCOVER that carries an
+/// already-known certificate (so the probe itself merges nothing).
+const CertGossipMsg* probe_reply(SinkDiscovery& discovery, FakeHost& host,
+                                 const PdCertificate& known) {
+  discovery.handle(known.owner, DiscoverMsg(known));
+  return last_gossip_reply(host);
+}
+
+TEST(SinkDiscoveryTable, ConflictingByzantineCertificatesMergeToTheUnion) {
+  const std::size_t n = 8;
+  FakeHost host(0, n, 1);
+  SinkDiscovery discovery(host, NodeSet(n, {1, 2}));
+  discovery.start();
+  const PdCertificate known{1, NodeSet(n, {0, 2})};
+  discovery.handle(1, DiscoverMsg(known));
+
+  // Byzantine owner 3 tells 1 and 2 different stories.
+  discovery.handle(1, CertGossipMsg({{3, NodeSet(n, {4})}}));
+  discovery.handle(
+      2, CertGossipMsg({{2, NodeSet(n, {0})}, {3, NodeSet(n, {5})}}));
+  const CertGossipMsg* merged = probe_reply(discovery, host, known);
+  ASSERT_NE(merged, nullptr);
+  const std::map<ProcessId, NodeSet> expected{{0, NodeSet(n, {1, 2})},
+                                              {1, NodeSet(n, {0, 2})},
+                                              {2, NodeSet(n, {0})},
+                                              {3, NodeSet(n, {4, 5})}};
+  EXPECT_EQ(merged->certs, expected);
+  EXPECT_TRUE(discovery.certified_graph().has_edge(3, 4));
+  EXPECT_TRUE(discovery.certified_graph().has_edge(3, 5));
+
+  // Re-delivering a subset of what 3 already claimed changes nothing: the
+  // next reply is the same cached object.
+  discovery.handle(2, CertGossipMsg({{3, NodeSet(n, {5})}}));
+  discovery.handle(4, DiscoverMsg({3, NodeSet(n, {4})}));
+  EXPECT_EQ(last_gossip_reply(host), merged);
+  EXPECT_EQ(probe_reply(discovery, host, known), merged);
+
+  // A superset adds knowledge: the reply is rebuilt and shows the union.
+  discovery.handle(1, CertGossipMsg({{3, NodeSet(n, {4, 6})}}));
+  const CertGossipMsg* grown = probe_reply(discovery, host, known);
+  ASSERT_NE(grown, nullptr);
+  EXPECT_NE(grown, merged);
+  EXPECT_EQ(grown->certs.at(3), NodeSet(n, {4, 5, 6}));
+  EXPECT_EQ(grown->certs.size(), expected.size());
+  EXPECT_TRUE(discovery.certified_graph().has_edge(3, 6));
+}
+
+TEST(SinkDiscoveryTable, MalformedCertificatesChangeNothing) {
+  // Owners index the table directly, so the guard in front of it is what
+  // keeps hostile owner ids and foreign-universe sets out of bounds.
+  const std::size_t n = 8;
+  FakeHost host(0, n, 1);
+  SinkDiscovery discovery(host, NodeSet(n, {1, 2}));
+  discovery.start();
+  const PdCertificate known{1, NodeSet(n, {0, 2})};
+  const CertGossipMsg* before = probe_reply(discovery, host, known);
+  ASSERT_NE(before, nullptr);
+  const std::map<ProcessId, NodeSet> certs_before = before->certs;
+  const NodeSet candidate_before = discovery.candidate_set();
+  const std::size_t edges_before = discovery.certified_graph().edge_count();
+  const auto epoch_before = discovery.stats().cert_epoch;
+
+  const std::vector<PdCertificate> malformed{
+      {kInvalidProcess, NodeSet(n, {1})},
+      {static_cast<ProcessId>(n), NodeSet(n, {1})},
+      {static_cast<ProcessId>(n) + 1000000, NodeSet(n, {1})},
+      // PDs over a larger, a smaller and the empty (default) universe.
+      {3, NodeSet(n + 1, {1, static_cast<ProcessId>(n)})},
+      {3, NodeSet(n - 1, {1})},
+      {3, NodeSet()},
+  };
+  for (const PdCertificate& cert : malformed) {
+    discovery.handle(2, DiscoverMsg(cert));
+    EXPECT_EQ(last_gossip_reply(host), before) << "owner=" << cert.owner;
+    discovery.handle(2, CertGossipMsg({{cert.owner, cert.pd}}));
+    EXPECT_EQ(probe_reply(discovery, host, known), before)
+        << "owner=" << cert.owner;
+  }
+  // All of them in one gossip map, next to a well-formed but known entry.
+  std::map<ProcessId, NodeSet> batch{{1, NodeSet(n, {0})}};
+  for (const PdCertificate& cert : malformed) {
+    batch.emplace(cert.owner, cert.pd);
+  }
+  discovery.handle(2, CertGossipMsg(std::move(batch)));
+
+  EXPECT_EQ(probe_reply(discovery, host, known), before);
+  EXPECT_EQ(before->certs, certs_before);
+  EXPECT_EQ(discovery.candidate_set(), candidate_before);
+  EXPECT_EQ(discovery.certified_graph().edge_count(), edges_before);
+  EXPECT_EQ(discovery.stats().cert_epoch, epoch_before);
+}
+
 /// Recompute-from-scratch reference for the candidate set: self, own PD,
 /// plus every reachable node with f+1 vertex-disjoint certified paths.
 NodeSet reference_candidate(const SinkDiscovery& d, ProcessId self,
@@ -208,6 +312,82 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
       }
       EXPECT_EQ(discovery.stats().flow_evals, evals_before);
       EXPECT_EQ(discovery.stats().dirty_updates, dirty_before);
+    }
+  }
+}
+
+TEST_P(SinkDiscoveryEquivalenceTest,
+       MultiOwnerAndConflictingGossipMatchesReferences) {
+  // Gossip maps carry several owners at once, and f Byzantine owners issue
+  // several conflicting certificates each. After every delivery the
+  // candidate set must match the from-scratch reference and the gossip
+  // reply must equal a plain std::map union of everything delivered.
+  const std::size_t f = GetParam();
+  Rng rng(77 + f);
+  for (int trial = 0; trial < 8; ++trial) {
+    graph::KosrGenParams params;
+    params.sink_size = 8;
+    params.non_sink_size = 8;
+    params.k = 2 * f + 1;
+    params.seed = 300 + static_cast<std::uint64_t>(trial);
+    const auto g = graph::random_kosr_graph(params);
+    const std::size_t n = g.node_count();
+
+    for (const ProcessId self : {static_cast<ProcessId>(n - 1), ProcessId{0}}) {
+      FakeHost host(self, n, f);
+      SinkDiscovery discovery(host, g.pd_of(self));
+      discovery.start();
+      const PdCertificate own{self, g.pd_of(self)};
+      std::map<ProcessId, NodeSet> reference{{self, g.pd_of(self)}};
+
+      // Honest owners certify their true PD; Byzantine ones (never self)
+      // issue three random, mutually conflicting certificates each.
+      std::vector<PdCertificate> deliveries;
+      NodeSet byzantine(n);
+      while (byzantine.count() < f) {
+        const auto b = static_cast<ProcessId>(rng.uniform(n));
+        if (b != self) byzantine.add(b);
+      }
+      for (ProcessId v = 0; v < n; ++v) {
+        if (v == self) continue;
+        if (!byzantine.contains(v)) {
+          deliveries.push_back({v, g.pd_of(v)});
+          continue;
+        }
+        for (int lie = 0; lie < 3; ++lie) {
+          NodeSet pd(n);
+          for (ProcessId t = 0; t < n; ++t) {
+            if (t != v && rng.chance(0.3)) pd.add(t);
+          }
+          deliveries.push_back({v, std::move(pd)});
+        }
+      }
+      rng.shuffle(deliveries);
+
+      std::size_t next = 0;
+      while (next < deliveries.size()) {
+        // One gossip map of up to 4 distinct owners.
+        std::map<ProcessId, NodeSet> certs;
+        const auto batch = static_cast<std::size_t>(rng.uniform_range(1, 4));
+        while (next < deliveries.size() && certs.size() < batch &&
+               certs.count(deliveries[next].owner) == 0) {
+          certs.emplace(deliveries[next].owner, deliveries[next].pd);
+          ++next;
+        }
+        for (const auto& [owner, pd] : certs) {
+          auto [it, inserted] = reference.emplace(owner, pd);
+          if (!inserted) it->second |= pd;
+        }
+        const ProcessId sender = certs.begin()->first;
+        discovery.handle(sender, CertGossipMsg(std::move(certs)));
+        ASSERT_EQ(discovery.candidate_set(),
+                  reference_candidate(discovery, self, g.pd_of(self), f))
+            << "trial=" << trial << " self=" << self << " next=" << next;
+        const CertGossipMsg* reply = probe_reply(discovery, host, own);
+        ASSERT_NE(reply, nullptr);
+        ASSERT_EQ(reply->certs, reference)
+            << "trial=" << trial << " self=" << self << " next=" << next;
+      }
     }
   }
 }

@@ -34,6 +34,8 @@ Usage:
                    --candidate build/BENCH_E16.json
   bench_compare.py --reference tools/bench_reference_e13.json \
                    --candidate build/BENCH_E13.json --wall-baseline ""
+  bench_compare.py --reference tools/bench_reference_e11.json \
+                   --candidate build/BENCH_E11.json --wall-baseline ""
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ SKIP_COUNTERS = {
     "heap_allocs",
     "items_per_second",  # redundant with the normalized wall gate
     "slots_per_sec",  # E13's wall-clock rate, ditto
+    "nodes_per_sec",  # E11's wall-clock rate, ditto
 }
 
 
