@@ -40,6 +40,7 @@
 #include "scp/envelope.hpp"
 #include "sim/message_pool.hpp"
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 // ---- global allocation meter -----------------------------------------------
 // Counting shims for the whole binary. Replacing operator new in one TU
@@ -308,7 +309,10 @@ struct ProfileMsg final : sim::Message {
   explicit ProfileMsg(std::uint64_t p) : payload(p) {}
   std::uint64_t payload;
   std::string type_name() const override { return "bench.profile"; }
-  std::size_t byte_size() const override { return 40; }
+  std::uint16_t wire_type() const override {
+    return sim::kWireTestTypeFirst + 19;
+  }
+  void wire_encode(sim::WireWriter& w) const override { w.u64(payload); }
 };
 
 /// A sustained gossip plane (the E14 workload shape, smaller): every

@@ -18,6 +18,7 @@
 #include "bench_common.hpp"
 
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 namespace scup {
 namespace {
@@ -27,7 +28,13 @@ struct HetMsg final : sim::Message {
   int ttl;
   std::uint64_t tag;
   std::string type_name() const override { return "bench.het"; }
-  std::size_t byte_size() const override { return 24; }
+  std::uint16_t wire_type() const override {
+    return sim::kWireTestTypeFirst + 18;
+  }
+  void wire_encode(sim::WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(ttl));
+    w.u64(tag);
+  }
 };
 
 /// The heterogeneous-plane workload: the (id -> id+2) lane rides the fast
@@ -176,7 +183,10 @@ void BM_LookaheadIdentity(benchmark::State& state) {
       ++checks;
     }
   }
-  state.counters["identity_checks"] = static_cast<double>(checks);
+  // Per iteration, so the gated count does not depend on how many
+  // iterations the host's speed buys within the min time.
+  state.counters["identity_checks"] = benchmark::Counter(
+      static_cast<double>(checks), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_LookaheadIdentity)->Unit(benchmark::kMillisecond);
 
@@ -212,7 +222,8 @@ void BM_DiscoveryPayloadSharing(benchmark::State& state) {
   state.counters["payload_shared"] = shared;
   state.counters["sharing_ratio"] =
       builds + shared == 0 ? 0.0 : shared / (builds + shared);
-  state.counters["decided_runs"] = static_cast<double>(decided);
+  state.counters["decided_runs"] = benchmark::Counter(
+      static_cast<double>(decided), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_DiscoveryPayloadSharing)
     ->ArgNames({"proto", "loss"})

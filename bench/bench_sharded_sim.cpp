@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 namespace scup {
 namespace {
@@ -22,7 +23,10 @@ struct PlaneMsg final : sim::Message {
   explicit PlaneMsg(std::uint64_t p) : payload(p) {}
   std::uint64_t payload;
   std::string type_name() const override { return "bench.plane"; }
-  std::size_t byte_size() const override { return 40; }
+  std::uint16_t wire_type() const override {
+    return sim::kWireTestTypeFirst + 17;
+  }
+  void wire_encode(sim::WireWriter& w) const override { w.u64(payload); }
 };
 
 /// Sustains a fixed in-flight message population (each delivery forwards
@@ -153,7 +157,10 @@ void BM_PlaneIdentity(benchmark::State& state) {
       ++checks;
     }
   }
-  state.counters["identity_checks"] = static_cast<double>(checks);
+  // Per iteration, so the gated count does not depend on how many
+  // iterations the host's speed buys within the min time.
+  state.counters["identity_checks"] = benchmark::Counter(
+      static_cast<double>(checks), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_PlaneIdentity)->Unit(benchmark::kMillisecond);
 
@@ -189,7 +196,8 @@ void BM_MatrixIdentity(benchmark::State& state) {
       }
     }
   }
-  state.counters["cells"] = static_cast<double>(cells);
+  state.counters["cells"] = benchmark::Counter(
+      static_cast<double>(cells), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_MatrixIdentity)->Unit(benchmark::kMillisecond);
 

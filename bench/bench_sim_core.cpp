@@ -16,13 +16,17 @@
 
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 namespace scup {
 namespace {
 
 struct StormMsg final : sim::Message {
   std::string type_name() const override { return "bench.storm"; }
-  std::size_t byte_size() const override { return 24; }
+  std::uint16_t wire_type() const override {
+    return sim::kWireTestTypeFirst + 16;
+  }
+  void wire_encode(sim::WireWriter& /*w*/) const override {}
 };
 
 /// Each process forwards every message to a random peer, seeding the storm

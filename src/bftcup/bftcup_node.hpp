@@ -28,7 +28,6 @@ struct DecisionRequestMsg final : sim::Message {
   explicit DecisionRequestMsg(ProcessId o) : origin(o) {}
   ProcessId origin;
   std::string type_name() const override { return "bftcup.decision_req"; }
-  std::size_t byte_size() const override { return 20; }
   std::uint16_t wire_type() const override { return kWireTypeDecisionRequest; }
   void wire_encode(sim::WireWriter& w) const override { w.u32(origin); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
@@ -43,7 +42,6 @@ struct DecisionMsg final : sim::Message {
   explicit DecisionMsg(Value v) : value(v) {}
   Value value;
   std::string type_name() const override { return "bftcup.decision"; }
-  std::size_t byte_size() const override { return 24; }
   std::uint16_t wire_type() const override { return kWireTypeDecision; }
   void wire_encode(sim::WireWriter& w) const override { w.u64(value); }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {

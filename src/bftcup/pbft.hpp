@@ -136,9 +136,6 @@ struct ViewChangeMsg final : sim::Message {
   explicit ViewChangeMsg(ViewChangeRecord r) : record(std::move(r)) {}
   ViewChangeRecord record;
   std::string type_name() const override { return "pbft.viewchange"; }
-  std::size_t byte_size() const override {
-    return 64 + record.prepare_cert.size() * 12;
-  }
   std::uint16_t wire_type() const override { return kWireTypeViewChange; }
   void wire_encode(sim::WireWriter& w) const override {
     wire_put_viewchange_record(w, record);
@@ -159,9 +156,6 @@ struct NewViewMsg final : sim::Message {
   Value value;
   std::vector<ViewChangeRecord> justification;
   std::string type_name() const override { return "pbft.newview"; }
-  std::size_t byte_size() const override {
-    return 64 + justification.size() * 80;
-  }
   std::uint16_t wire_type() const override { return kWireTypeNewView; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(view);

@@ -91,7 +91,6 @@ bool Message::encode_frame_once() const {
     } else {
       wire_overflow_.assign(wire_scratch.begin(), wire_scratch.end());
     }
-    size_cache_.store(wire_size_, std::memory_order_relaxed);
     wire_state_.store(kWireReady, std::memory_order_release);
     return true;
   }
@@ -103,21 +102,7 @@ bool Message::encode_frame_once() const {
   return false;
 }
 
-Message::SendSize Message::send_size_slow() const {
-  if (wire_type() == kWireTypeNone) {
-    // Satellite memoization for codec-less types (bench/test messages):
-    // one virtual byte_size() per message object, relaxed loads per send.
-    const std::size_t estimate = byte_size();
-    size_cache_.store(static_cast<std::uint32_t>(estimate),
-                      std::memory_order_relaxed);
-    return {estimate, false, false};
-  }
-  const bool encoded_now = encode_frame_once();
-  return {size_cache_.load(std::memory_order_relaxed), encoded_now, true};
-}
-
 std::pair<const std::uint8_t*, std::size_t> Message::wire_frame() const {
-  if (wire_type() == kWireTypeNone) return {nullptr, 0};
   encode_frame_once();
   const std::size_t size = wire_size_;
   const std::uint8_t* data = size <= kWireInlineCapacity

@@ -5,10 +5,13 @@
 // Process::on_message. Messages are immutable once sent and shared between
 // the sender's log and all recipients.
 //
-// The per-send hot path reads two lazily-filled per-object caches instead of
-// making virtual calls: metrics_type_id() (interned type name) and
-// send_size() (exact encoded frame size for types with a wire codec, the
-// memoized byte_size() estimate otherwise). Construction goes through
+// Every message type has a wire codec (wire_type() and wire_encode() are
+// pure virtual), so a message's size is its encoded frame size and nothing
+// else. The per-send hot path reads two lazily-filled per-object caches
+// instead of making virtual calls: metrics_type_id() (interned type name)
+// and send_size() (the frame, encoded once per message object and cached).
+// Types defined in tests and benches take their frame ids from the reserved
+// range in sim/wire.hpp. Construction goes through
 // make_message(), which draws storage from the owning Simulation's
 // MessagePool when one is bound to the calling thread (DESIGN.md §4.9).
 #pragma once
@@ -42,11 +45,6 @@ class MessageTypeRegistry {
   static std::size_t count();
 };
 
-/// Wire type id reserved for "no codec": such types fall back to the
-/// virtual byte_size() estimate for traffic accounting and cannot be
-/// decoded from bytes.
-inline constexpr std::uint16_t kWireTypeNone = 0;
-
 class Message {
  public:
   Message() = default;
@@ -61,7 +59,6 @@ class Message {
     metrics_type_id_.store(
         other.metrics_type_id_.load(std::memory_order_relaxed),
         std::memory_order_relaxed);
-    size_cache_.store(kNoCachedSize, std::memory_order_relaxed);
     wire_state_.store(kWireEmpty, std::memory_order_relaxed);
     wire_overflow_.clear();
     return *this;
@@ -71,18 +68,12 @@ class Message {
   /// Stable name used for metrics aggregation (e.g. "scp.prepare").
   virtual std::string type_name() const = 0;
 
-  /// Approximate wire size in bytes, for traffic accounting of types
-  /// without a codec. Types with a codec (wire_type() != kWireTypeNone) are
-  /// accounted by their exact encoded frame size instead; their byte_size()
-  /// override is a legacy estimate kept for comparison benches.
-  virtual std::size_t byte_size() const { return 64; }
+  /// Dense process-wide id of this type's wire frame (sim/wire.hpp).
+  virtual std::uint16_t wire_type() const = 0;
 
-  /// Dense process-wide id of this type's wire frame, or kWireTypeNone.
-  virtual std::uint16_t wire_type() const { return kWireTypeNone; }
-
-  /// Appends the frame payload (everything after the u16 type header).
-  /// Only called when wire_type() != kWireTypeNone; must not throw.
-  virtual void wire_encode(WireWriter& /*writer*/) const {}
+  /// Appends the frame payload (everything after the u16 type header);
+  /// must not throw.
+  virtual void wire_encode(WireWriter& writer) const = 0;
 
   /// Interned id of type_name(), computed lazily once per message object —
   /// a broadcast fanning one message out to n destinations interns once
@@ -101,33 +92,27 @@ class Message {
     std::size_t bytes = 0;
     /// True iff this call performed the once-per-message frame encode.
     bool encoded_now = false;
-    /// True iff `bytes` is an exact encoded frame size (vs. estimate).
-    bool from_codec = false;
   };
 
-  /// Size charged per send: the exact cached frame size when this type has
-  /// a codec, else the memoized byte_size() estimate. At most one virtual
-  /// call per *message*; every later send is a relaxed atomic load.
+  /// Size charged per send: the encoded frame size. The first send encodes
+  /// the frame; every later send is one acquire load plus a plain read.
   SendSize send_size() const {
-    const std::uint32_t cached = size_cache_.load(std::memory_order_relaxed);
-    if (cached != kNoCachedSize) {
-      return {cached, false,
-              wire_state_.load(std::memory_order_relaxed) == kWireReady};
+    if (wire_state_.load(std::memory_order_acquire) == kWireReady) {
+      return {wire_size_, false};
     }
-    return send_size_slow();
+    const bool encoded_now = encode_frame_once();
+    return {wire_size_, encoded_now};
   }
 
   /// The cached encoded frame (u16 type header ++ payload), encoding it on
-  /// first call. Returns {nullptr, 0} when this type has no codec.
+  /// first call.
   std::pair<const std::uint8_t*, std::size_t> wire_frame() const;
 
  private:
-  SendSize send_size_slow() const;
   /// Returns true iff this call won the encode race and built the frame.
   bool encode_frame_once() const;
 
   static constexpr std::uint32_t kUninternedTypeId = 0xffffffffu;
-  static constexpr std::uint32_t kNoCachedSize = 0xffffffffu;
   // Encode states: a single winner CASes kWireEmpty -> kWireBuilding,
   // fills the frame storage, then release-stores kWireReady; concurrent
   // senders of a shared message spin on the acquire load (the window is a
@@ -146,7 +131,6 @@ class Message {
   // intern the same name and store the same id (the registry is
   // idempotent); racing frame encodes are serialized by wire_state_.
   mutable std::atomic<std::uint32_t> metrics_type_id_{kUninternedTypeId};
-  mutable std::atomic<std::uint32_t> size_cache_{kNoCachedSize};
   mutable std::atomic<std::uint32_t> wire_state_{kWireEmpty};
   mutable std::uint32_t wire_size_ = 0;
   mutable std::array<std::uint8_t, kWireInlineCapacity> wire_inline_;

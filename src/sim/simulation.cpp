@@ -182,22 +182,18 @@ void Simulation::enqueue_send(ProcessId from, ProcessId to, MessagePtr msg) {
   ShardContext* ctx = ShardEngine::current();
   SimMetrics& m = ctx ? ctx->metrics : metrics_;
   m.messages_sent += 1;
-  // Wire-once accounting: codec-bearing messages are charged their exact
-  // encoded frame size, built once per message object and read from the
-  // cache on every further send; codec-less types use the memoized
-  // byte_size() estimate. The encode/cached split is deterministic (it
-  // depends only on which sends a message object fans out to), so the
-  // counters survive the cross-mode SimMetrics identity check.
+  // Wire-once accounting: every message is charged its exact encoded
+  // frame size, built once per message object and read from the cache on
+  // every further send, so wire_encodes + wire_cached_sends ==
+  // messages_sent. The encode/cached split is deterministic (it depends
+  // only on which sends a message object fans out to), so the counters
+  // survive the cross-mode SimMetrics identity check.
   const Message::SendSize sized = msg->send_size();
   const std::size_t bytes = sized.bytes;
   m.bytes_sent += bytes;
-  if (sized.encoded_now) {
-    m.protocol_counters[static_cast<std::size_t>(
-        ProtoCounter::kWireEncodes)] += 1;
-  } else if (sized.from_codec) {
-    m.protocol_counters[static_cast<std::size_t>(
-        ProtoCounter::kWireCachedSends)] += 1;
-  }
+  m.protocol_counters[static_cast<std::size_t>(
+      sized.encoded_now ? ProtoCounter::kWireEncodes
+                        : ProtoCounter::kWireCachedSends)] += 1;
   const std::uint32_t type = msg->metrics_type_id();
   if (type >= m.messages_by_type_id.size()) {
     m.messages_by_type_id.resize(type + 1, 0);

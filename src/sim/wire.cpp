@@ -1,7 +1,10 @@
 #include "sim/wire.hpp"
 
+#include <cstring>
 #include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace scup::sim {
@@ -35,9 +38,18 @@ std::map<std::uint16_t, CodecEntry>& codec_table() {
 void WireCodecRegistry::register_type(std::uint16_t type, const char* name,
                                       DecodeFn fn) {
   const std::lock_guard<std::mutex> lock(codec_mutex());
-  // Idempotent: re-registration of the same type keeps the first entry, so
-  // ensure_registered() can be called from every test without bookkeeping.
-  codec_table().emplace(type, CodecEntry{name, fn});
+  // Re-registering the identical entry is a no-op, so
+  // register_wire_codecs() can run from every test without bookkeeping. A
+  // different name or decoder on a taken id would decode that id's frames
+  // as the wrong type, so it is a programming error.
+  const auto [it, inserted] =
+      codec_table().emplace(type, CodecEntry{name, fn});
+  if (inserted) return;
+  if (it->second.decode != fn || std::strcmp(it->second.name, name) != 0) {
+    throw std::logic_error("WireCodecRegistry: wire type " +
+                           std::to_string(type) + " is already taken by " +
+                           it->second.name);
+  }
 }
 
 WireCodecRegistry::DecodeFn WireCodecRegistry::find(std::uint16_t type) {

@@ -32,6 +32,13 @@ namespace scup::sim {
 class Message;
 using MessagePtr = std::shared_ptr<const Message>;
 
+/// Frame ids reserved for message types defined in tests and benches.
+/// Production codecs take ids below this range (cup 1..5, scp 16..17,
+/// pbft 32..36, bftcup 48..49); each test or bench type picks its own
+/// offset into it, and none of them is registered for decoding.
+inline constexpr std::uint16_t kWireTestTypeFirst = 0xff00;
+inline constexpr std::uint16_t kWireTestTypeLast = 0xffff;
+
 /// Largest NodeSet universe a decoder accepts (see WireReader::node_set).
 inline constexpr std::uint32_t kWireMaxUniverse = 1u << 20;
 
@@ -165,7 +172,9 @@ class WireReader {
 /// consults it (wire_encode is a virtual on the message); it exists for the
 /// decode side — differential tests today, a real network backend tomorrow.
 /// Registration is explicit (core::register_wire_codecs) because decoders
-/// live above sim/ in the layer graph; it is idempotent and thread-safe.
+/// live above sim/ in the layer graph; it is idempotent and thread-safe,
+/// and it throws std::logic_error when a second name or decoder claims an
+/// id that is already taken.
 class WireCodecRegistry {
  public:
   using DecodeFn = MessagePtr (*)(WireReader&);

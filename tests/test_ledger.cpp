@@ -316,7 +316,7 @@ TEST(LedgerMultiplexerTest, SlotEnvelopeNaming) {
   const scp::SlotEnvelope e(
       3, scp::Envelope(0, 1, q, scp::Statement{scp::NominateStmt{}}));
   EXPECT_EQ(e.type_name(), "scp.slot.nominate");
-  EXPECT_GT(e.byte_size(), 8u);
+  EXPECT_GT(e.send_size().bytes, 8u);
 }
 
 // Property sweep: random k-OSR graphs, 3-slot chains, random safe faults.

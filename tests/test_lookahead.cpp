@@ -26,6 +26,7 @@
 
 #include "core/experiment.hpp"
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 namespace scup::sim {
 namespace {
@@ -35,7 +36,11 @@ struct HetMsg final : Message {
   int ttl;
   std::uint64_t tag;
   std::string type_name() const override { return "test.het"; }
-  std::size_t byte_size() const override { return 24; }
+  std::uint16_t wire_type() const override { return kWireTestTypeFirst + 2; }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(ttl));
+    w.u64(tag);
+  }
 };
 
 /// Workload tuned for heterogeneous topologies: the (id -> id+2) lane is

@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "sim/simulation.hpp"
+#include "sim/wire.hpp"
 
 namespace scup::sim {
 namespace {
@@ -16,7 +17,10 @@ struct NoteMsg final : Message {
   explicit NoteMsg(int p) : payload(p) {}
   int payload;
   std::string type_name() const override { return "test.note"; }
-  std::size_t byte_size() const override { return 16; }
+  std::uint16_t wire_type() const override { return kWireTestTypeFirst + 3; }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(payload));
+  }
 };
 
 /// Records every delivery with its simulated arrival time.

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "core/ledger_node.hpp"
 #include "graph/generators.hpp"
 #include "graph/scc.hpp"
+#include "sim/wire.hpp"
 
 namespace scup::sim {
 namespace {
@@ -38,7 +40,11 @@ struct GossipMsg final : Message {
   int ttl;
   std::uint64_t tag;
   std::string type_name() const override { return "test.gossip"; }
-  std::size_t byte_size() const override { return 24; }
+  std::uint16_t wire_type() const override { return kWireTestTypeFirst + 1; }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(ttl));
+    w.u64(tag);
+  }
 };
 
 /// Fans gossip across the ring, signing every receipt, re-arming short
@@ -390,6 +396,30 @@ TEST(ShardedSimulationTest, PreGstDuplicationIsShardInvariant) {
   }
 }
 
+/// The wire-once invariant: every send either encodes its message's frame
+/// or reads it from the cache, and the per-type byte counters add up to the
+/// total.
+void expect_wire_once(const SimMetrics& m, const std::string& where) {
+  EXPECT_GT(m.messages_sent, 0u) << where;
+  EXPECT_EQ(m.protocol_counter(ProtoCounter::kWireEncodes) +
+                m.protocol_counter(ProtoCounter::kWireCachedSends),
+            m.messages_sent)
+      << where;
+  std::size_t typed_bytes = 0;
+  for (const auto& [type, bytes] : m.bytes_by_type()) typed_bytes += bytes;
+  EXPECT_EQ(typed_bytes, m.bytes_sent) << where;
+}
+
+TEST(WireOnceTest, TestTypePlaneChargesEverySendItsFrame) {
+  for (std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    const GossipRun run = run_gossip(shards, gossip_net(1, 7, 42));
+    const std::string where = "gossip shards=" + std::to_string(shards);
+    expect_wire_once(run.metrics, where);
+    // A GossipMsg frame is a u16 type header, a u32 ttl and a u64 tag.
+    EXPECT_EQ(run.metrics.bytes_sent, run.metrics.messages_sent * 14) << where;
+  }
+}
+
 }  // namespace
 }  // namespace scup::sim
 
@@ -476,6 +506,49 @@ TEST(ShardedScenarioTest, AllMatrixShapesAreShardInvariant) {
       }
     }
   }
+}
+
+TEST(WireOnceTest, ProtocolRunsEncodeOrReuseEveryFrame) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kStellarSd, ProtocolKind::kBftCup}) {
+    for (int shape = 0; shape < 4; ++shape) {
+      ChurnPartitionParams p;
+      p.n = 12;
+      p.f = 1;
+      p.protocol = protocol;
+      p.gst = 1'500;
+      p.late_window = 1'000;
+      p.seed = 5;
+      p.with_partition = shape >= 1;
+      if (shape == 2) p.pre_gst_drop = 0.2;
+      p.with_crash = shape == 3;
+      const ScenarioReport r = run_scenario(churn_partition_scenario(p));
+      const std::string where = "shape=" + std::to_string(shape) +
+                                " protocol=" +
+                                std::to_string(static_cast<int>(protocol));
+      EXPECT_TRUE(r.all_decided) << where;
+      sim::expect_wire_once(r.metrics, where);
+      // Broadcasts share one message object, so some sends hit the cache.
+      EXPECT_GT(r.metrics.protocol_counter(sim::ProtoCounter::kWireCachedSends),
+                0u)
+          << where;
+    }
+  }
+  // A short multi-slot chain: SlotEnvelope wraps are shared by broadcasts.
+  const auto g = graph::fig2_graph();
+  sim::NetworkConfig net;
+  net.seed = 17;
+  net.min_delay = 1;
+  net.max_delay = 10;
+  sim::Simulation sim(g.node_count(), net);
+  for (ProcessId i = 0; i < g.node_count(); ++i) {
+    sim.emplace_process<LedgerNode>(i, g.pd_of(i), 1, 3);
+  }
+  sim.start();
+  sim.run_for(20'000);
+  sim::expect_wire_once(sim.metrics(), "ledger chain");
+  EXPECT_GT(sim.metrics().protocol_counter(sim::ProtoCounter::kWireCachedSends),
+            0u);
 }
 
 TEST(ShardedScenarioTest, LedgerChainsAndZeroCopyWrapsAreShardInvariant) {

@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "sim/wire.hpp"
+
 namespace scup::sim {
 namespace {
 
@@ -11,7 +13,10 @@ struct PingMsg final : Message {
   explicit PingMsg(int h) : hops(h) {}
   int hops;
   std::string type_name() const override { return "test.ping"; }
-  std::size_t byte_size() const override { return 32; }
+  std::uint16_t wire_type() const override { return kWireTestTypeFirst; }
+  void wire_encode(WireWriter& w) const override {
+    w.u32(static_cast<std::uint32_t>(hops));
+  }
 };
 
 /// Bounces a ping back and forth `max_hops` times.
@@ -82,7 +87,8 @@ TEST(SimulationTest, PingPongDelivery) {
   EXPECT_EQ(a.last_sender_, 1u);
   EXPECT_EQ(b.last_sender_, 0u);
   EXPECT_EQ(sim.metrics().messages_sent, 10u);
-  EXPECT_EQ(sim.metrics().bytes_sent, 320u);
+  // Each PingMsg frame is a u16 type header plus a u32 hop count.
+  EXPECT_EQ(sim.metrics().bytes_sent, 10u * 6u);
   EXPECT_EQ(sim.metrics().messages_by_type().at("test.ping"), 10u);
 }
 
