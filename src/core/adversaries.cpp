@@ -36,10 +36,9 @@ void DiscoveryLiarNode::on_message(ProcessId from,
   if (dynamic_cast<const cup::DiscoverMsg*>(msg.get()) != nullptr) {
     const NodeSet& claimed =
         (second_fake_pd_ && from % 2 == 1) ? *second_fake_pd_ : fake_pd_;
-    std::map<ProcessId, NodeSet> certs;
-    // scup-sanitize: local one-entry reply map; this node IS the adversary
-    certs.emplace(id(), claimed);
-    send(from, sim::make_message<cup::CertGossipMsg>(std::move(certs)));
+    // scup-sanitize: local one-entry reply payload; this node IS the adversary
+    send(from, sim::make_message<cup::CertGossipMsg>(
+                   std::vector<cup::PdCertificate>{{id(), claimed}}));
   }
 }
 

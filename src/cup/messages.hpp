@@ -8,7 +8,7 @@
 // discovery families.
 #pragma once
 
-#include <map>
+#include <vector>
 
 #include "common/node_set.hpp"
 #include "sim/message.hpp"
@@ -32,6 +32,7 @@ inline constexpr std::uint16_t kWireTypeSinkValue = 5;
 struct PdCertificate {
   ProcessId owner = kInvalidProcess;
   NodeSet pd;
+  bool operator==(const PdCertificate&) const = default;
 };
 
 /// DISCOVER: "send me what you know". Carries the sender's own certificate
@@ -55,41 +56,43 @@ struct DiscoverMsg final : sim::Message {
 };
 
 /// Reply to DISCOVER (and general gossip): all certificates the sender
-/// holds, merged per owner.
+/// holds, merged per owner, one entry per owner in strictly ascending owner
+/// order (the canonical frame order, which the decoder enforces).
 struct CertGossipMsg final : sim::Message {
   // Construction does no work beyond the move: the frame (and with it the
   // size every send is charged) is encoded once, on the first send, and
   // read from the message's cache by every further send of the shared reply.
-  explicit CertGossipMsg(std::map<ProcessId, NodeSet> c) : certs(std::move(c)) {}
-  std::map<ProcessId, NodeSet> certs;
+  explicit CertGossipMsg(std::vector<PdCertificate> c) : certs(std::move(c)) {}
+  std::vector<PdCertificate> certs;
   std::string type_name() const override { return "cup.certs"; }
   std::uint16_t wire_type() const override { return kWireTypeCertGossip; }
   void wire_encode(sim::WireWriter& w) const override {
     w.u32(static_cast<std::uint32_t>(certs.size()));
-    for (const auto& [owner, pd] : certs) {
-      w.u32(owner);
-      w.node_set(pd);
+    for (const PdCertificate& cert : certs) {
+      w.u32(cert.owner);
+      w.node_set(cert.pd);
     }
   }
   static sim::MessagePtr wire_decode(sim::WireReader& r) {
     const std::uint32_t count = r.u32();
     // Smallest possible entry is 12 bytes (owner + empty NodeSet), so a
-    // forged count cannot force an oversized map reservation.
+    // forged count cannot force an oversized reservation.
     if (!r.fits(count, 12)) {
       r.fail();
       return nullptr;
     }
-    std::map<ProcessId, NodeSet> certs;
+    std::vector<PdCertificate> certs;
+    certs.reserve(count);
     ProcessId prev = kInvalidProcess;
     for (std::uint32_t i = 0; i < count; ++i) {
       const ProcessId owner = r.u32();
       if (i > 0 && owner <= prev) {
-        // Canonical frames list owners in ascending order (std::map
-        // iteration); anything else is a forgery or corruption.
+        // Canonical frames list owners in strictly ascending order;
+        // anything else (a duplicate included) is a forgery or corruption.
         r.fail();
         return nullptr;
       }
-      certs.emplace(owner, r.node_set());
+      certs.push_back({owner, r.node_set()});
       prev = owner;
       if (!r.ok()) return nullptr;
     }

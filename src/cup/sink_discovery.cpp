@@ -93,13 +93,14 @@ sim::MessagePtr SinkDiscovery::gossip_reply() {
   // The reply is immutable and identical for every requester until the next
   // certificate change (merge_certificate resets the cache), so one shared
   // message serves all of them — one construction *and one frame encode*
-  // per certificate state; the per-DISCOVER map copy used to dominate
-  // large-n discovery cost. The map is built only here, once per state, in
-  // ascending owner order (emplace_hint at end never searches).
+  // per certificate state; the per-DISCOVER payload copy used to dominate
+  // large-n discovery cost. The payload is built only here, once per state,
+  // as a flat vector in ascending owner order (the canonical frame order).
   return shared_payload(cached_gossip_, [this] {
-    std::map<ProcessId, NodeSet> certs;
+    std::vector<PdCertificate> certs;
+    certs.reserve(cert_owners_.count());
     for (ProcessId owner : cert_owners_) {
-      certs.emplace_hint(certs.end(), owner, cert_pd_[owner]);
+      certs.push_back({owner, cert_pd_[owner]});
     }
     return sim::make_message<CertGossipMsg>(std::move(certs));
   });
@@ -134,9 +135,9 @@ void SinkDiscovery::merge_certificate(ProcessId owner, const NodeSet& pd) {
 }
 
 void SinkDiscovery::merge_certificates(
-    const std::map<ProcessId, NodeSet>& certs) {
-  for (const auto& [owner, pd] : certs) {
-    merge_certificate(owner, pd);
+    const std::vector<PdCertificate>& certs) {
+  for (const PdCertificate& cert : certs) {
+    merge_certificate(cert.owner, cert.pd);
   }
 }
 

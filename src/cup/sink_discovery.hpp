@@ -145,7 +145,7 @@ class SinkDiscovery {
   /// case: gossip re-delivers what is already known) returns after one
   /// subset test, and no merge allocates except an owner's first one.
   void merge_certificate(ProcessId owner, const NodeSet& pd);
-  void merge_certificates(const std::map<ProcessId, NodeSet>& certs);
+  void merge_certificates(const std::vector<PdCertificate>& certs);
   /// Queries newly reachable nodes, re-evaluates admission for nodes the
   /// new-edge batch can affect, and re-evaluates steps 2-3.
   void update();

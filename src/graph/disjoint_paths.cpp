@@ -11,25 +11,29 @@ namespace scup::graph {
 // query endpoints); original edge (u, v) becomes u_out -> v_in with
 // capacity 1. Arcs are stored with their reverse arc at index ^1.
 
+int DisjointPathEngine::add_arc(int u, int v, int cap) {
+  const int index = static_cast<int>(arcs_.size());
+  arcs_.push_back({v, head_[u]});
+  base_cap_.push_back(cap);
+  cap_.push_back(cap);
+  head_[u] = index;
+  arcs_.push_back({u, head_[v]});
+  base_cap_.push_back(0);
+  cap_.push_back(0);
+  head_[v] = index + 1;
+  return index;
+}
+
 void DisjointPathEngine::prepare(const Digraph& g, const NodeSet& active) {
   n_ = g.node_count();
   big_ = static_cast<int>(n_) + 1;
   active_ = active;
   arcs_.clear();
   base_cap_.clear();
+  cap_.clear();
+  touched_.clear();
   head_.assign(2 * n_, -1);
   split_arc_.assign(n_, -1);
-
-  const auto add_arc = [this](int u, int v, int cap) {
-    const int index = static_cast<int>(arcs_.size());
-    arcs_.push_back({v, head_[u]});
-    base_cap_.push_back(cap);
-    head_[u] = index;
-    arcs_.push_back({u, head_[v]});
-    base_cap_.push_back(0);
-    head_[v] = index + 1;
-    return index;
-  };
 
   for (ProcessId w : active) {
     split_arc_[w] = add_arc(static_cast<int>(2 * w),
@@ -58,12 +62,64 @@ std::size_t DisjointPathEngine::max_disjoint_paths(ProcessId u, ProcessId v,
   if (!active_.contains(u) || !active_.contains(v)) return 0;
 
   ++query_count_;
-  cap_ = base_cap_;
-  cap_[split_arc_[u]] = big_;
-  cap_[split_arc_[v]] = big_;
+  restore_caps();
+  for (const int e : {split_arc_[u], split_arc_[v]}) {
+    cap_[e] = big_;
+    touched_.push_back(e);
+  }
 
-  const int s = static_cast<int>(2 * u + 1);
-  const int t = static_cast<int>(2 * v);
+  return run_flow(static_cast<int>(2 * u + 1), static_cast<int>(2 * v), limit);
+}
+
+bool DisjointPathEngine::has_k_paths(ProcessId u, ProcessId v, std::size_t k) {
+  if (k == 0) return true;
+  return max_disjoint_paths(u, v, k) >= k;
+}
+
+bool DisjointPathEngine::has_k_fan(ProcessId u, const NodeSet& targets,
+                                   std::size_t k) {
+  if (!prepared_) {
+    throw std::logic_error("DisjointPathEngine: query before prepare()");
+  }
+  if (u >= n_) throw std::out_of_range("fan: node out of range");
+  if (targets.contains(u)) {
+    throw std::invalid_argument("fan: source must lie outside the targets");
+  }
+  if (k == 0) return true;
+  if (!active_.contains(u)) return false;
+
+  ++query_count_;
+  // Temporary super-sink T = flow node 2n, fed by t_out -> T (capacity 1)
+  // for every active target t. Each new arc goes to the front of t_out's
+  // adjacency list, so popping it restores the prepared network exactly.
+  const int sink = static_cast<int>(2 * n_);
+  const std::size_t prepared_arcs = arcs_.size();
+  restore_caps();
+  head_.push_back(-1);
+  for (ProcessId t : targets) {
+    if (active_.contains(t)) add_arc(static_cast<int>(2 * t + 1), sink, 1);
+  }
+  const std::size_t flow = run_flow(static_cast<int>(2 * u + 1), sink, k);
+  restore_caps();
+  for (std::size_t e = prepared_arcs; e < arcs_.size(); e += 2) {
+    head_[arcs_[e ^ 1].to] = arcs_[e].next;
+  }
+  arcs_.resize(prepared_arcs);
+  base_cap_.resize(prepared_arcs);
+  cap_.resize(prepared_arcs);
+  head_.pop_back();
+  return flow >= k;
+}
+
+void DisjointPathEngine::restore_caps() {
+  for (const int e : touched_) {
+    cap_[e] = base_cap_[e];
+    cap_[e ^ 1] = base_cap_[e ^ 1];
+  }
+  touched_.clear();
+}
+
+std::size_t DisjointPathEngine::run_flow(int s, int t, std::size_t limit) {
   std::size_t flow = 0;
   while (flow < limit && bfs(s, t)) {
     iter_ = head_;
@@ -74,11 +130,6 @@ std::size_t DisjointPathEngine::max_disjoint_paths(ProcessId u, ProcessId v,
     }
   }
   return flow;
-}
-
-bool DisjointPathEngine::has_k_paths(ProcessId u, ProcessId v, std::size_t k) {
-  if (k == 0) return true;
-  return max_disjoint_paths(u, v, k) >= k;
 }
 
 DisjointPathEngine::VertexCut DisjointPathEngine::extract_cut(ProcessId u,
@@ -142,21 +193,28 @@ bool DisjointPathEngine::bfs(int s, int t) {
     for (int e = head_[u]; e != -1; e = arcs_[e].next) {
       if (cap_[e] > 0 && level_[arcs_[e].to] == -1) {
         level_[arcs_[e].to] = level_[u] + 1;
+        // Every level below t's is complete once t is reached, and the
+        // blocking flow uses only shortest s -> t paths: stop here.
+        if (arcs_[e].to == t) return true;
         queue_.push_back(arcs_[e].to);
       }
     }
   }
-  return level_[t] != -1;
+  return false;
 }
 
 int DisjointPathEngine::dfs(int u, int t, int pushed) {
   if (u == t) return pushed;
+  // Nodes on t's level other than t are dead ends: skip them unscanned.
+  const int next = level_[u] + 1;
   for (int& e = iter_[u]; e != -1; e = arcs_[e].next) {
-    if (cap_[e] > 0 && level_[arcs_[e].to] == level_[u] + 1) {
-      const int got = dfs(arcs_[e].to, t, std::min(pushed, cap_[e]));
+    const int to = arcs_[e].to;
+    if (cap_[e] > 0 && level_[to] == next && (to == t || next < level_[t])) {
+      const int got = dfs(to, t, std::min(pushed, cap_[e]));
       if (got > 0) {
         cap_[e] -= got;
         cap_[e ^ 1] += got;
+        touched_.push_back(e);
         return got;
       }
     }
@@ -191,19 +249,38 @@ bool has_k_vertex_disjoint_paths(const Digraph& g, ProcessId u, ProcessId v,
 }
 
 bool is_k_strongly_connected(const Digraph& g, std::size_t k,
-                             const NodeSet& active) {
+                             const NodeSet& active,
+                             std::uint64_t* flow_queries) {
   const auto nodes = active.to_vector();
-  if (nodes.size() <= 1) return true;
-  // One prepared network serves every ordered pair.
+  if (nodes.size() <= 1 || k == 0) return true;
+  // One prepared network serves every query.
   DisjointPathEngine engine;
   engine.prepare(g, active);
-  for (ProcessId u : nodes) {
-    for (ProcessId v : nodes) {
-      if (u == v) continue;
-      if (!engine.has_k_paths(u, v, k)) return false;
+  const auto check = [&] {
+    if (nodes.size() <= k) {
+      // Too few nodes to sample k sources: the per-pair definition (which
+      // fails for k >= 2: two nodes share at most |active| - 1 paths).
+      for (ProcessId u : nodes) {
+        for (ProcessId v : nodes) {
+          if (u != v && !engine.has_k_paths(u, v, k)) return false;
+        }
+      }
+      return true;
     }
-  }
-  return true;
+    // Sampled sources nodes[0..k): every pair to and from each of them.
+    // A pair of two sources is checked once, from its tail's loop.
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < nodes.size(); ++j) {
+        if (j == i) continue;
+        if (!engine.has_k_paths(nodes[i], nodes[j], k)) return false;
+        if (j >= k && !engine.has_k_paths(nodes[j], nodes[i], k)) return false;
+      }
+    }
+    return true;
+  };
+  const bool ok = check();
+  if (flow_queries != nullptr) *flow_queries += engine.query_count();
+  return ok;
 }
 
 bool is_k_strongly_connected(const Digraph& g, std::size_t k) {

@@ -18,7 +18,7 @@ namespace scup::graph {
 
 /// Batch interface for many disjoint-path queries against one (graph,
 /// active-set) pair. prepare() builds the vertex-split flow network once;
-/// each query then only restores the pristine capacities (one vector copy)
+/// each query then only restores the capacities the previous query changed
 /// instead of re-walking the graph and re-allocating adjacency storage. All
 /// scratch buffers (level/iterator/queue arrays) are reused across queries
 /// and across prepare() calls, so a long-lived engine performs no
@@ -41,6 +41,14 @@ class DisjointPathEngine {
 
   /// True iff there are at least k internally-vertex-disjoint paths u -> v.
   bool has_k_paths(ProcessId u, ProcessId v, std::size_t k);
+
+  /// Fan query: true iff there are k paths from u into `targets`, pairwise
+  /// disjoint except at u (so they end at k distinct targets). Runs one
+  /// max-flow to a temporary super-sink fed by every active target with
+  /// capacity 1, then restores the prepared network. Requires u outside
+  /// `targets` (throws std::invalid_argument otherwise); false when u is
+  /// inactive and k > 0.
+  bool has_k_fan(ProcessId u, const NodeSet& targets, std::size_t k);
 
   /// Number of max-flow computations run since construction (monotone;
   /// exposed so benches can report disjoint-path-evaluation counts).
@@ -71,16 +79,24 @@ class DisjointPathEngine {
     int next;
   };
 
+  // Appends arc u -> v (capacity `cap`) and its reverse; returns its index.
+  int add_arc(int u, int v, int cap);
   bool bfs(int s, int t);
   int dfs(int u, int t, int pushed);
+  // Dinic from flow node s to t on the current cap_, stopping at `limit`.
+  std::size_t run_flow(int s, int t, std::size_t limit);
+  // Resets the arcs in touched_ (and their reverses) to base_cap_.
+  void restore_caps();
 
   // Static network topology, rebuilt by prepare().
   std::vector<Arc> arcs_;
   std::vector<int> base_cap_;   // pristine capacities (endpoint caps are 1)
   std::vector<int> head_;       // per flow-node adjacency heads
   std::vector<int> split_arc_;  // graph node w -> arc index of w_in -> w_out
-  // Per-query scratch.
+  // Per-query scratch. cap_ is the residual network of the last query; it
+  // differs from base_cap_ only on touched_ arcs and their reverses.
   std::vector<int> cap_;
+  std::vector<int> touched_;
   std::vector<int> level_;
   std::vector<int> iter_;
   std::vector<int> queue_;
@@ -108,9 +124,13 @@ bool has_k_vertex_disjoint_paths(const Digraph& g, ProcessId u, ProcessId v,
 
 /// True iff g restricted to `active` is k-strongly connected: every ordered
 /// pair of distinct active nodes is joined by >= k vertex-disjoint paths
-/// (footnote 1 of the paper).
+/// (footnote 1 of the paper). With more than k active nodes it checks only
+/// the pairs to and from k fixed sources, at most 2k(|active| - 1) flows;
+/// DESIGN.md §4.1 proves this equivalent to the per-pair definition.
+/// `flow_queries`, when given, is increased by the max-flows run.
 bool is_k_strongly_connected(const Digraph& g, std::size_t k,
-                             const NodeSet& active);
+                             const NodeSet& active,
+                             std::uint64_t* flow_queries = nullptr);
 bool is_k_strongly_connected(const Digraph& g, std::size_t k);
 
 /// f-reachability (Definition 9): j is f-reachable from i if there are at

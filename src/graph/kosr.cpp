@@ -27,23 +27,34 @@ KosrReport check_kosr(const Digraph& g, std::size_t k, const NodeSet& active) {
   if (!report.single_sink) return report;
   report.sink = c.scc.components[c.sink_components[0]];
 
-  report.sink_k_connected = is_k_strongly_connected(g, k, report.sink);
+  report.sink_k_connected =
+      is_k_strongly_connected(g, k, report.sink, &report.flow_queries);
+  if (!report.sink_k_connected) return report;
 
   // Clause (4): k node-disjoint paths from every non-sink node to every sink
   // node. Paths may pass through any active node, so one flow network over
-  // `active` serves every (non-sink, sink) pair (k = 0 holds trivially).
-  report.paths_to_sink = true;
+  // `active` serves every query (k = 0 holds trivially). With the sink
+  // k-strongly connected and |sink| >= k, i reaches every sink node over k
+  // disjoint paths iff it has a k-fan into the sink (DESIGN.md §4.1): one
+  // flow per non-sink node. A smaller sink keeps the per-pair loop.
   DisjointPathEngine engine;
   engine.prepare(g, active);
-  for (ProcessId i : active) {
-    if (report.sink.contains(i)) continue;
+  const bool use_fan = report.sink.count() >= k;
+  const auto reaches_sink = [&](ProcessId i) {
+    if (use_fan) return engine.has_k_fan(i, report.sink, k);
     for (ProcessId j : report.sink) {
-      if (!engine.has_k_paths(i, j, k)) {
-        report.paths_to_sink = false;
-        return report;
-      }
+      if (!engine.has_k_paths(i, j, k)) return false;
+    }
+    return true;
+  };
+  report.paths_to_sink = true;
+  for (ProcessId i : active) {
+    if (!report.sink.contains(i) && !reaches_sink(i)) {
+      report.paths_to_sink = false;
+      break;
     }
   }
+  report.flow_queries += engine.query_count();
   return report;
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "common/node_set.hpp"
@@ -15,8 +16,11 @@ struct KosrReport {
   bool weakly_connected = false;       // (1) undirected graph is connected
   bool single_sink = false;            // (2) condensation has exactly one sink
   bool sink_k_connected = false;       // (3) sink is k-strongly connected
-  bool paths_to_sink = false;          // (4) k disjoint paths non-sink -> sink
+  // (4) k disjoint paths from every non-sink node to every sink node.
+  // Checked only once (2) and (3) hold; false when either fails.
+  bool paths_to_sink = false;
   NodeSet sink;                        // sink members (valid if single_sink)
+  std::uint64_t flow_queries = 0;      // max-flow runs the check paid
 
   bool ok() const {
     return weakly_connected && single_sink && sink_k_connected && paths_to_sink;

@@ -116,6 +116,92 @@ TEST(KConnectivityTest, TrivialCases) {
   EXPECT_TRUE(is_k_strongly_connected(h, 0));
 }
 
+/// Footnote 1 verbatim: every ordered pair of distinct active nodes, one
+/// fresh flow network each.
+bool k_strongly_connected_per_pair(const Digraph& g, std::size_t k,
+                                   const NodeSet& active) {
+  for (ProcessId u : active) {
+    for (ProcessId v : active) {
+      if (u != v && !has_k_vertex_disjoint_paths(g, u, v, k, active)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(KConnectivityTest, SampledSourcesMatchThePerPairDefinition) {
+  // is_k_strongly_connected checks only the pairs to and from k sampled
+  // sources once |active| > k. On dense random digraphs (direct edges in
+  // both directions are common) with random inactive nodes it must agree
+  // with the per-pair definition for every k, including |active| <= k.
+  Rng rng(2718);
+  std::size_t holds = 0;
+  std::size_t fails = 0;
+  std::size_t small = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::size_t n = 2 + rng.uniform(9);
+    const double density = 0.4 + 0.6 * rng.uniform_double();
+    Digraph g(n);
+    for (ProcessId u = 0; u < n; ++u) {
+      for (ProcessId v = 0; v < n; ++v) {
+        if (u != v && rng.chance(density)) g.add_edge(u, v);
+      }
+    }
+    NodeSet active = NodeSet::full(n);
+    for (ProcessId v = 0; v < n; ++v) {
+      if (rng.chance(0.15)) active.remove(v);
+    }
+    for (std::size_t k = 0; k <= 4; ++k) {
+      const bool expected = k_strongly_connected_per_pair(g, k, active);
+      std::uint64_t flows = 0;
+      EXPECT_EQ(is_k_strongly_connected(g, k, active, &flows), expected)
+          << "trial=" << trial << " n=" << n << " k=" << k;
+      const std::size_t size = active.count();
+      if (size > k) {
+        EXPECT_LE(flows, 2 * k * (size - 1)) << "trial=" << trial;
+      } else {
+        ++small;
+      }
+      ++(expected ? holds : fails);
+    }
+  }
+  EXPECT_GT(holds, 100u);
+  EXPECT_GT(fails, 100u);
+  EXPECT_GT(small, 100u);
+}
+
+TEST(DisjointPathEngineTest, FanCountsDistinctTargetsAndRestoresTheNetwork) {
+  // 0 -> {1, 2} -> 3 and 0 -> 4; targets {3, 4}: two fan paths (0-1-3 and
+  // 0-4). The second route to 3, 0-2-3, does not make a third: fan paths
+  // end at distinct targets.
+  Digraph g(5);
+  g.add_edge(0, 1);
+  g.add_edge(0, 2);
+  g.add_edge(1, 3);
+  g.add_edge(2, 3);
+  g.add_edge(0, 4);
+  DisjointPathEngine engine;
+  engine.prepare(g, NodeSet::full(5));
+  const std::size_t before = engine.max_disjoint_paths(0, 3, 5);
+  const NodeSet targets(5, {3, 4});
+  EXPECT_TRUE(engine.has_k_fan(0, targets, 0));
+  EXPECT_TRUE(engine.has_k_fan(0, targets, 2));
+  EXPECT_FALSE(engine.has_k_fan(0, targets, 3));
+  EXPECT_FALSE(engine.has_k_fan(3, NodeSet(5, {0, 1}), 1));  // no path back
+  EXPECT_THROW((void)engine.has_k_fan(3, targets, 1), std::invalid_argument);
+  // Pair queries after fans see the prepared network unchanged.
+  EXPECT_EQ(engine.max_disjoint_paths(0, 3, 5), before);
+  EXPECT_EQ(before, 2u);
+  EXPECT_EQ(engine.max_disjoint_paths(0, 4, 5), 1u);
+  // An inactive source has no fan; inactive targets do not count.
+  engine.prepare(g, NodeSet(5, {0, 1, 3}));
+  EXPECT_TRUE(engine.has_k_fan(0, targets, 1));
+  EXPECT_FALSE(engine.has_k_fan(0, targets, 2));
+  engine.prepare(g, NodeSet(5, {1, 3}));
+  EXPECT_FALSE(engine.has_k_fan(0, targets, 1));
+}
+
 TEST(FReachabilityTest, Definition9) {
   // 0 -> {1,2} -> 3, with f = 1: need 2 disjoint correct paths.
   Digraph g(4);

@@ -150,6 +150,68 @@ TEST(KosrGeneratorTest, ClauseFourMatchesThePerPairHelper) {
   }
   EXPECT_GT(holds, 0u);
   EXPECT_GT(fails, 0u);
+
+  // Small random graphs whose sink candidates are ids [0, s), s = 1..5,
+  // with dense direct edges i -> j from non-sink nodes into the sink. A
+  // one-node sink with k >= 2 is the |S| < k case, answered per pair; the
+  // others take the fan query.
+  std::size_t small_holds = 0;
+  std::size_t small_fails = 0;
+  std::size_t fan_checks = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t s = 1 + rng.uniform(5);
+    const std::size_t n = s + 1 + rng.uniform(5);
+    Digraph g(n);
+    for (ProcessId u = 0; u < n; ++u) {
+      for (ProcessId v = 0; v < n; ++v) {
+        if (u == v || (u < s && v >= s)) continue;  // no edge leaves the sink
+        if (rng.chance(u < s ? 0.8 : 0.5)) g.add_edge(u, v);
+      }
+    }
+    NodeSet active = NodeSet::full(n);
+    if (rng.chance(0.3)) {
+      active.remove(static_cast<ProcessId>(s + rng.uniform(n - s)));
+    }
+    for (std::size_t k = 0; k <= 4; ++k) {
+      const KosrReport r = check_kosr(g, k, active);
+      if (!r.single_sink || !r.sink_k_connected) continue;
+      bool expected = true;
+      for (ProcessId i : active) {
+        if (r.sink.contains(i)) continue;
+        for (ProcessId j : r.sink) {
+          expected =
+              expected && has_k_vertex_disjoint_paths(g, i, j, k, active);
+        }
+      }
+      EXPECT_EQ(r.paths_to_sink, expected) << "trial=" << trial << " k=" << k;
+      if (r.sink.count() < k) {
+        ++(expected ? small_holds : small_fails);
+      } else if (k > 0) {
+        ++fan_checks;
+      }
+    }
+  }
+  EXPECT_GT(small_holds, 0u);
+  EXPECT_GT(small_fails, 0u);
+  EXPECT_GT(fan_checks, 100u);
+}
+
+TEST(KosrGeneratorTest, FlowQueriesStayWithinTheSampledSourceAndFanBound) {
+  // n = 128, k = 2: the per-pair check paid |S|(|S| - 1) flows for clause
+  // (3) plus |active \ S|·|S| for clause (4), about 8,100; the sampled
+  // sources and the fan pay at most 2k(|S| - 1) + |active \ S|.
+  KosrGenParams params;
+  params.sink_size = 64;
+  params.non_sink_size = 64;
+  params.k = 2;
+  params.seed = 11;
+  const Digraph g = random_kosr_graph(params);
+  const KosrReport r = check_kosr(g, params.k);
+  ASSERT_TRUE(r.ok()) << r.to_string();
+  const std::uint64_t sink = r.sink.count();
+  const std::uint64_t non_sink = g.node_count() - sink;
+  EXPECT_LE(r.flow_queries, 2 * params.k * (sink - 1) + non_sink);
+  EXPECT_GT(r.flow_queries, 0u);
 }
 
 TEST(KosrGeneratorTest, RejectsBadParameters) {

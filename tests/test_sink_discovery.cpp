@@ -99,6 +99,25 @@ TEST(SinkDiscoveryMatch, OutsiderAgreementDoesNotCountTowardMatching) {
   EXPECT_TRUE(fx.discovery.finished());
 }
 
+/// A gossip payload as an owner -> PD map. Fails the test unless the owners
+/// are strictly ascending, the canonical frame order.
+std::map<ProcessId, NodeSet> as_map(const CertGossipMsg& msg) {
+  std::map<ProcessId, NodeSet> out;
+  for (const PdCertificate& cert : msg.certs) {
+    EXPECT_TRUE(out.empty() || out.rbegin()->first < cert.owner)
+        << "owner " << cert.owner << " out of order";
+    out.emplace(cert.owner, cert.pd);
+  }
+  return out;
+}
+
+/// A gossip message carrying `certs` in ascending owner order.
+CertGossipMsg gossip_of(const std::map<ProcessId, NodeSet>& certs) {
+  std::vector<PdCertificate> flat;
+  for (const auto& [owner, pd] : certs) flat.push_back({owner, pd});
+  return CertGossipMsg(std::move(flat));
+}
+
 TEST(SinkDiscoveryGossip, ReplyIsSharedUntilCertificatesChange) {
   const std::size_t n = 8;
   FakeHost host(0, n, 1);
@@ -128,7 +147,7 @@ TEST(SinkDiscoveryGossip, ReplyIsSharedUntilCertificatesChange) {
   replies = gossip_replies();
   ASSERT_EQ(replies.size(), 3u);
   EXPECT_NE(replies[1], replies[2]);
-  EXPECT_EQ(replies[2]->certs.count(3), 1u);
+  EXPECT_EQ(as_map(*replies[2]).count(3), 1u);
 }
 
 /// The most recent gossip reply the host sent, or nullptr.
@@ -167,7 +186,7 @@ TEST(SinkDiscoveryTable, ConflictingByzantineCertificatesMergeToTheUnion) {
                                               {1, NodeSet(n, {0, 2})},
                                               {2, NodeSet(n, {0})},
                                               {3, NodeSet(n, {4, 5})}};
-  EXPECT_EQ(merged->certs, expected);
+  EXPECT_EQ(as_map(*merged), expected);
   EXPECT_TRUE(discovery.certified_graph().has_edge(3, 4));
   EXPECT_TRUE(discovery.certified_graph().has_edge(3, 5));
 
@@ -183,7 +202,7 @@ TEST(SinkDiscoveryTable, ConflictingByzantineCertificatesMergeToTheUnion) {
   const CertGossipMsg* grown = probe_reply(discovery, host, known);
   ASSERT_NE(grown, nullptr);
   EXPECT_NE(grown, merged);
-  EXPECT_EQ(grown->certs.at(3), NodeSet(n, {4, 5, 6}));
+  EXPECT_EQ(as_map(*grown).at(3), NodeSet(n, {4, 5, 6}));
   EXPECT_EQ(grown->certs.size(), expected.size());
   EXPECT_TRUE(discovery.certified_graph().has_edge(3, 6));
 }
@@ -198,7 +217,7 @@ TEST(SinkDiscoveryTable, MalformedCertificatesChangeNothing) {
   const PdCertificate known{1, NodeSet(n, {0, 2})};
   const CertGossipMsg* before = probe_reply(discovery, host, known);
   ASSERT_NE(before, nullptr);
-  const std::map<ProcessId, NodeSet> certs_before = before->certs;
+  const std::vector<PdCertificate> certs_before = before->certs;
   const NodeSet candidate_before = discovery.candidate_set();
   const std::size_t edges_before = discovery.certified_graph().edge_count();
   const auto epoch_before = discovery.stats().cert_epoch;
@@ -219,11 +238,9 @@ TEST(SinkDiscoveryTable, MalformedCertificatesChangeNothing) {
     EXPECT_EQ(probe_reply(discovery, host, known), before)
         << "owner=" << cert.owner;
   }
-  // All of them in one gossip map, next to a well-formed but known entry.
-  std::map<ProcessId, NodeSet> batch{{1, NodeSet(n, {0})}};
-  for (const PdCertificate& cert : malformed) {
-    batch.emplace(cert.owner, cert.pd);
-  }
+  // All of them in one gossip payload, after a well-formed but known entry.
+  std::vector<PdCertificate> batch{{1, NodeSet(n, {0})}};
+  batch.insert(batch.end(), malformed.begin(), malformed.end());
   discovery.handle(2, CertGossipMsg(std::move(batch)));
 
   EXPECT_EQ(probe_reply(discovery, host, known), before);
@@ -288,9 +305,7 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
         std::swap(order[i - 1], order[rng.uniform_range(0, i - 1)]);
       }
       for (ProcessId owner : order) {
-        std::map<ProcessId, NodeSet> certs;
-        certs.emplace(owner, g.pd_of(owner));
-        discovery.handle(owner, CertGossipMsg(std::move(certs)));
+        discovery.handle(owner, CertGossipMsg({{owner, g.pd_of(owner)}}));
         ASSERT_EQ(discovery.candidate_set(),
                   reference_candidate(discovery, self, g.pd_of(self), f))
             << "trial=" << trial << " self=" << self << " owner=" << owner;
@@ -306,9 +321,7 @@ TEST_P(SinkDiscoveryEquivalenceTest, MatchesFromScratchRecomputeOnRandomFeeds) {
       const auto evals_before = stats.flow_evals;
       const auto dirty_before = stats.dirty_updates;
       for (ProcessId owner : order) {
-        std::map<ProcessId, NodeSet> certs;
-        certs.emplace(owner, g.pd_of(owner));
-        discovery.handle(owner, CertGossipMsg(std::move(certs)));
+        discovery.handle(owner, CertGossipMsg({{owner, g.pd_of(owner)}}));
       }
       EXPECT_EQ(discovery.stats().flow_evals, evals_before);
       EXPECT_EQ(discovery.stats().dirty_updates, dirty_before);
@@ -379,13 +392,13 @@ TEST_P(SinkDiscoveryEquivalenceTest,
           if (!inserted) it->second |= pd;
         }
         const ProcessId sender = certs.begin()->first;
-        discovery.handle(sender, CertGossipMsg(std::move(certs)));
+        discovery.handle(sender, gossip_of(certs));
         ASSERT_EQ(discovery.candidate_set(),
                   reference_candidate(discovery, self, g.pd_of(self), f))
             << "trial=" << trial << " self=" << self << " next=" << next;
         const CertGossipMsg* reply = probe_reply(discovery, host, own);
         ASSERT_NE(reply, nullptr);
-        ASSERT_EQ(reply->certs, reference)
+        ASSERT_EQ(as_map(*reply), reference)
             << "trial=" << trial << " self=" << self << " next=" << next;
       }
     }

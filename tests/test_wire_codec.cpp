@@ -14,7 +14,6 @@
 //     x shard counts).
 #include <array>
 #include <cstdint>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -67,7 +66,7 @@ std::vector<MessagePtr> sample_messages() {
   out.push_back(sim::make_message<cup::DiscoverMsg>(
       cup::PdCertificate{2, pd}));
   out.push_back(sim::make_message<cup::CertGossipMsg>(
-      std::map<ProcessId, NodeSet>{{0, pd}, {3, NodeSet(12)}, {7, pd}}));
+      std::vector<cup::PdCertificate>{{0, pd}, {3, NodeSet(12)}, {7, pd}}));
   out.push_back(sim::make_message<cup::KnownMsg>(pd));
   out.push_back(sim::make_message<cup::GetSinkMsg>(ProcessId{9}));
   out.push_back(sim::make_message<cup::SinkValueMsg>(NodeSet(12, {1, 2})));
@@ -281,6 +280,43 @@ TEST_F(WireCodecTest, NominateFrameIsGoldenAndValueListsMustAscend) {
   EXPECT_EQ(sim::decode_frame(envelope_frame({7, 7}, {})), nullptr);
   EXPECT_EQ(sim::decode_frame(envelope_frame({7}, {1001, 1001})), nullptr);
   EXPECT_EQ(sim::decode_frame(envelope_frame({7}, {1001, 8})), nullptr);
+}
+
+TEST_F(WireCodecTest, CertGossipFrameIsGoldenAndOwnersMustAscend) {
+  // u16 type ++ u32 count ++ per entry (u32 owner ++ NodeSet), owners in
+  // strictly ascending order.
+  const cup::CertGossipMsg msg(std::vector<cup::PdCertificate>{
+      {0, NodeSet(4, {1, 3})}, {2, NodeSet(4)}});
+  const std::vector<std::uint8_t> frame = frame_of(msg);
+  std::string hex;
+  for (const std::uint8_t b : frame) {
+    static constexpr char kDigits[] = "0123456789abcdef";
+    hex += kDigits[b >> 4];
+    hex += kDigits[b & 0xf];
+  }
+  EXPECT_EQ(hex,
+            "0200" "02000000"                               // type 2, 2 certs
+            "00000000" "04000000" "02000000" "0100000003000000"  // 0: {1,3}
+            "02000000" "04000000" "00000000");              // 2: {}
+  const MessagePtr decoded = sim::decode_frame(frame);
+  ASSERT_NE(decoded, nullptr);
+  EXPECT_EQ(frame_of(*decoded), frame);
+
+  // Duplicate and descending owners are not canonical: rejected.
+  const auto gossip_frame = [](std::initializer_list<ProcessId> owners) {
+    std::vector<std::uint8_t> out;
+    WireWriter w(out);
+    w.u16(cup::kWireTypeCertGossip);
+    w.u32(static_cast<std::uint32_t>(owners.size()));
+    for (const ProcessId owner : owners) {
+      w.u32(owner);
+      w.node_set(NodeSet(4, {1}));
+    }
+    return out;
+  };
+  EXPECT_NE(sim::decode_frame(gossip_frame({1, 3})), nullptr);
+  EXPECT_EQ(sim::decode_frame(gossip_frame({3, 3})), nullptr);
+  EXPECT_EQ(sim::decode_frame(gossip_frame({3, 1})), nullptr);
 }
 
 TEST_F(WireCodecTest, ForgedCountCannotForceAllocation) {
