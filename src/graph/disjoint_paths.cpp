@@ -15,11 +15,9 @@ int DisjointPathEngine::add_arc(int u, int v, int cap) {
   const int index = static_cast<int>(arcs_.size());
   arcs_.push_back({v, head_[u]});
   base_cap_.push_back(cap);
-  cap_.push_back(cap);
   head_[u] = index;
   arcs_.push_back({u, head_[v]});
   base_cap_.push_back(0);
-  cap_.push_back(0);
   head_[v] = index + 1;
   return index;
 }
@@ -30,8 +28,6 @@ void DisjointPathEngine::prepare(const Digraph& g, const NodeSet& active) {
   active_ = active;
   arcs_.clear();
   base_cap_.clear();
-  cap_.clear();
-  touched_.clear();
   head_.assign(2 * n_, -1);
   split_arc_.assign(n_, -1);
 
@@ -62,11 +58,9 @@ std::size_t DisjointPathEngine::max_disjoint_paths(ProcessId u, ProcessId v,
   if (!active_.contains(u) || !active_.contains(v)) return 0;
 
   ++query_count_;
-  restore_caps();
-  for (const int e : {split_arc_[u], split_arc_[v]}) {
-    cap_[e] = big_;
-    touched_.push_back(e);
-  }
+  cap_ = base_cap_;
+  cap_[split_arc_[u]] = big_;
+  cap_[split_arc_[v]] = big_;
 
   return run_flow(static_cast<int>(2 * u + 1), static_cast<int>(2 * v), limit);
 }
@@ -94,29 +88,19 @@ bool DisjointPathEngine::has_k_fan(ProcessId u, const NodeSet& targets,
   // adjacency list, so popping it restores the prepared network exactly.
   const int sink = static_cast<int>(2 * n_);
   const std::size_t prepared_arcs = arcs_.size();
-  restore_caps();
   head_.push_back(-1);
   for (ProcessId t : targets) {
     if (active_.contains(t)) add_arc(static_cast<int>(2 * t + 1), sink, 1);
   }
+  cap_ = base_cap_;
   const std::size_t flow = run_flow(static_cast<int>(2 * u + 1), sink, k);
-  restore_caps();
   for (std::size_t e = prepared_arcs; e < arcs_.size(); e += 2) {
     head_[arcs_[e ^ 1].to] = arcs_[e].next;
   }
   arcs_.resize(prepared_arcs);
   base_cap_.resize(prepared_arcs);
-  cap_.resize(prepared_arcs);
   head_.pop_back();
   return flow >= k;
-}
-
-void DisjointPathEngine::restore_caps() {
-  for (const int e : touched_) {
-    cap_[e] = base_cap_[e];
-    cap_[e ^ 1] = base_cap_[e ^ 1];
-  }
-  touched_.clear();
 }
 
 std::size_t DisjointPathEngine::run_flow(int s, int t, std::size_t limit) {
@@ -214,7 +198,6 @@ int DisjointPathEngine::dfs(int u, int t, int pushed) {
       if (got > 0) {
         cap_[e] -= got;
         cap_[e ^ 1] += got;
-        touched_.push_back(e);
         return got;
       }
     }
@@ -253,20 +236,11 @@ bool is_k_strongly_connected(const Digraph& g, std::size_t k,
                              std::uint64_t* flow_queries) {
   const auto nodes = active.to_vector();
   if (nodes.size() <= 1 || k == 0) return true;
+  if (nodes.size() <= k) return false;  // kappa(u, v) <= |active| - 1 < k
   // One prepared network serves every query.
   DisjointPathEngine engine;
   engine.prepare(g, active);
   const auto check = [&] {
-    if (nodes.size() <= k) {
-      // Too few nodes to sample k sources: the per-pair definition (which
-      // fails for k >= 2: two nodes share at most |active| - 1 paths).
-      for (ProcessId u : nodes) {
-        for (ProcessId v : nodes) {
-          if (u != v && !engine.has_k_paths(u, v, k)) return false;
-        }
-      }
-      return true;
-    }
     // Sampled sources nodes[0..k): every pair to and from each of them.
     // A pair of two sources is checked once, from its tail's loop.
     for (std::size_t i = 0; i < k; ++i) {

@@ -18,7 +18,7 @@ namespace scup::graph {
 
 /// Batch interface for many disjoint-path queries against one (graph,
 /// active-set) pair. prepare() builds the vertex-split flow network once;
-/// each query then only restores the capacities the previous query changed
+/// each query then only restores the pristine capacities (one vector copy)
 /// instead of re-walking the graph and re-allocating adjacency storage. All
 /// scratch buffers (level/iterator/queue arrays) are reused across queries
 /// and across prepare() calls, so a long-lived engine performs no
@@ -85,18 +85,14 @@ class DisjointPathEngine {
   int dfs(int u, int t, int pushed);
   // Dinic from flow node s to t on the current cap_, stopping at `limit`.
   std::size_t run_flow(int s, int t, std::size_t limit);
-  // Resets the arcs in touched_ (and their reverses) to base_cap_.
-  void restore_caps();
 
   // Static network topology, rebuilt by prepare().
   std::vector<Arc> arcs_;
   std::vector<int> base_cap_;   // pristine capacities (endpoint caps are 1)
   std::vector<int> head_;       // per flow-node adjacency heads
   std::vector<int> split_arc_;  // graph node w -> arc index of w_in -> w_out
-  // Per-query scratch. cap_ is the residual network of the last query; it
-  // differs from base_cap_ only on touched_ arcs and their reverses.
+  // Per-query scratch.
   std::vector<int> cap_;
-  std::vector<int> touched_;
   std::vector<int> level_;
   std::vector<int> iter_;
   std::vector<int> queue_;
